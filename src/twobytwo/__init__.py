@@ -1,60 +1,14 @@
 """Association measures, margin-transformation coordinates and entropy
-analysis for 2x2 probability tables."""
+analysis for 2x2 probability tables.
 
-from .critical import (
-    CriticalPoint,
-    DomainError,
-    SolverError,
-    critical_points,
-    entropy_grid_argmax,
-    lambert_w0,
-    lambert_w_minus1,
-    magic_odds_ratio,
-)
-from .grids import GridSpec, emit_grid
-from .measures import (
-    MeasureKind,
-    UndefinedKappa,
-    UnsupportedKind,
-    corr_r,
-    d_prime,
-    d_raw,
-    entropy,
-    entropy_diag,
-    eval_in_coords,
-    evaluate,
-    hs,
-    kappa,
-    margin_limit,
-    mut_inf,
-    odds_ratio,
-    s_mut_inf,
-    yule_q,
-    yule_y,
-)
-from .scanner import (
-    BinaryMatrix,
-    PairResult,
-    ParseError,
-    count_pair,
-    counts_to_table,
-    load_matrix,
-    scan,
-)
-from .tables import (
-    BoundaryClass,
-    BoundaryKind,
-    DegenerateTable,
-    MarginCoords,
-    ProbTable,
-    SignPattern,
-    make_table,
-    margin_transform,
-    psi,
-    ray_limit,
-    sign_pattern,
-    symmetry_apply,
-    theta,
-)
+The package re-exports the public names of its modules: the ``__all__`` of
+each module is the one list of them.
+"""
+
+from .critical import *  # noqa: F403
+from .grids import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .scanner import *  # noqa: F403
+from .tables import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from .measures import (
     CLI_NAMES,
     DEFAULT_HS_N,
     MeasureKind,
-    UndefinedKappa,
     UnsupportedKind,
     evaluate,
 )
@@ -101,7 +100,7 @@ def measure(table_text, measures_text, n):
             raise click.UsageError(str(exc)) from None
         try:
             value = evaluate(kind, table)
-        except UndefinedKappa as exc:
+        except ArithmeticError as exc:
             raise click.ClickException(f"{name}: {exc}") from None
         click.echo(f"{name},{value:.6f}")
 
@@ -123,6 +122,8 @@ def grid(measure_name, odds_ratio, half_width, step, n, output):
     sink, close = _open_sink(output)
     try:
         emit_grid(spec, sink)
+    except ArithmeticError as exc:
+        raise click.ClickException(f"{measure_name}: {exc}") from None
     finally:
         if close:
             sink.close()
@@ -164,7 +165,7 @@ def critical(odds_ratio):
     help="added to every cell count; samples with NA are dropped pairwise",
 )
 @click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
-@click.option("--jobs", default=1, show_default=True, help="worker threads")
+@click.option("--jobs", default=1, show_default=True, help="ignored; kept for compatibility")
 @click.option("-o", "--output", default=None, help="output file (default stdout)")
 def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, output):
     """Rank marker pairs of a 0/1/NA TSV matrix by association strength."""
@@ -180,7 +181,7 @@ def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, outp
     try:
         matrix = load_matrix(input_file)
         results = scan(matrix, kinds, rank_kind, top, pseudocount, jobs)
-    except (ParseError, DegenerateTable, ValueError) as exc:
+    except (ParseError, DegenerateTable, ValueError, ArithmeticError) as exc:
         raise click.ClickException(str(exc)) from None
     text = render_results(results, kinds)
     sink, close = _open_sink(output)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import MeasureKind
 from .tables import MarginCoords, ProbTable, symmetry_apply, theta
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 _INV_E = math.exp(-1.0)
-_LN2 = math.log(2.0)
+_ENTROPY = MeasureKind("entropy")
 
 
 class DomainError(ValueError):
@@ -259,15 +260,7 @@ def entropy_grid_argmax(big_l, half_width, step):
     best_h = -math.inf
     best_y = best_z = 0.0
     for y in axis:
-        e00 = x + y + axis
-        e01 = np.full(count, y)
-        e10 = axis
-        e11 = np.full(count, x)
-        m = np.maximum.reduce([e00, e01, e10, e11])
-        w00, w01, w10, w11 = (np.exp(e - m) for e in (e00, e01, e10, e11))
-        total = w00 + w01 + w10 + w11
-        weighted = e00 * w00 + e01 * w01 + e10 * w10 + e11 * w11
-        h_row = (m + np.log(total)) / _LN2 - weighted / (_LN2 * total)
+        h_row = _ENTROPY.on_coords(x, y, axis)
         i = int(np.argmax(h_row))
         if h_row[i] > best_h:
             best_h = float(h_row[i])

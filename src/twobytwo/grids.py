@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+# eval_in_coords, evaluate and psi are the one-point forms of what emit_grid
+# computes a row at a time; perfbench/tracing.py wraps them here.
 from .measures import MeasureKind, eval_in_coords, evaluate
-from .tables import MarginCoords, psi
+from .tables import _EXP_FLOOR, psi
 
 __all__ = ["GridSpec", "grid_axis", "emit_grid"]
-
-_COORD_FORMS = frozenset(
-    {"yule_y", "corr_r", "d_prime", "entropy", "entropy_diag", "hs"}
-)
 
 
 @dataclass(frozen=True)
@@ -47,27 +47,36 @@ def grid_axis(spec):
     return [-spec.half_width + i * spec.step for i in range(count)]
 
 
+def _psi_cells(x, y, z):
+    """Cells of psi(MarginCoords(x, y, z)), broadcast over arrays."""
+    exps = (x + y + z, y, z, x)
+    m = np.maximum(np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3]))
+    weights = [np.exp(np.maximum(e - m, _EXP_FLOOR)) for e in exps]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
 def emit_grid(spec, sink):
     """Write the grid as CSV bytes (y-major) to a binary sink; return row count.
 
     Values use shortest round-trip decimal formatting, so output is
-    byte-for-byte reproducible for a given spec.
+    byte-for-byte reproducible for a given spec.  Measures with a closed
+    margin-coordinate form use it; the others are evaluated on the table.
     """
     x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
+    z = np.array(axis)
     kind = spec.measure
-    use_coords = kind.tag in _COORD_FORMS
+    z_fields = [f"{zv!r}," for zv in axis]
 
     sink.write(b"y,z,value\n")
-    rows = 0
     for y in axis:
-        lines = []
-        for z in axis:
-            if use_coords:
-                value = eval_in_coords(kind, MarginCoords(x, y, z))
-            else:
-                value = evaluate(kind, psi(MarginCoords(x, y, z)))
-            lines.append(f"{y!r},{z!r},{value!r}\n")
+        if kind.measure.coords is not None:
+            values = kind.on_coords(x, y, z)
+        else:
+            values = kind.on_cells(*_psi_cells(x, y, z))
+        values = np.broadcast_to(values, z.shape).tolist()
+        y_field = f"{y!r},"
+        lines = [f"{y_field}{zf}{v!r}\n" for zf, v in zip(z_fields, values)]
         sink.write("".join(lines).encode("ascii"))
-        rows += len(lines)
-    return rows
+    return len(axis) ** 2

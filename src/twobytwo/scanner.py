@@ -8,12 +8,11 @@ ranks pairs by the absolute value of a chosen measure.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# evaluate is not called here; perfbench/tracing.py wraps scanner.evaluate.
 from .measures import MeasureKind, evaluate
 from .tables import DegenerateTable, ProbTable
 
@@ -134,41 +133,51 @@ def counts_to_table(counts, pseudocount):
     return ProbTable(*cells)
 
 
-def _evaluate_pair(matrix, i, j, measures, pseudocount):
-    counts = count_pair(matrix, i, j)
-    id_a, id_b = matrix.marker_ids[i], matrix.marker_ids[j]
-    try:
-        table = counts_to_table(counts, pseudocount)
-    except DegenerateTable as exc:
-        raise DegenerateTable(f"pair ({id_a}, {id_b}): {exc}") from exc
-    values = {kind: evaluate(kind, table) for kind in measures}
-    return PairResult(id_a, id_b, counts, sum(counts), values)
-
-
 def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """Evaluate all marker pairs and return the top_k by |rank_by| value.
 
-    Ties break on (id_a, id_b); the result is deterministic regardless of
-    the number of worker threads.
+    The counts of every pair come from four matrix products and each
+    measure is evaluated once over all pairs.  Ties break on (id_a, id_b).
+    ``jobs`` is ignored; it is kept for compatibility.
     """
     if rank_by not in measures:
         raise ValueError("rank_by must be one of the requested measures")
     if top_k <= 0:
         raise ValueError(f"top_k must be positive, got {top_k!r}")
-    pairs = list(itertools.combinations(range(matrix.n_markers), 2))
+    ids = matrix.marker_ids
+    ia, ib = np.triu_indices(matrix.n_markers, 1)
+    if ia.size == 0:
+        return []
 
-    def work(pair):
-        i, j = pair
-        return _evaluate_pair(matrix, i, j, measures, pseudocount)
+    # Float64 products count exactly up to 2**53 samples.
+    seen = (matrix.data != _MISSING).astype(np.float64)
+    ones = (matrix.data == 1).astype(np.float64)
+    n = (seen.T @ seen)[ia, ib]
+    n11 = (ones.T @ ones)[ia, ib]
+    n10 = (ones.T @ seen)[ia, ib] - n11
+    n01 = (seen.T @ ones)[ia, ib] - n11
+    counts = np.stack([n - n11 - n10 - n01, n01, n10, n11], axis=1).astype(np.int64)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
+    # counts_to_table decides which pairs have a table: check the first pair,
+    # where a bad pseudocount fails, and the first pair with a zero cell.
+    cells = counts + pseudocount
+    for k in [0] + np.flatnonzero((cells <= 0.0).any(axis=1))[:1].tolist():
+        try:
+            counts_to_table(tuple(counts[k].tolist()), pseudocount)
+        except DegenerateTable as exc:
+            raise DegenerateTable(f"pair ({ids[ia[k]]}, {ids[ib[k]]}): {exc}") from exc
 
-    results.sort(key=lambda r: (-abs(r.values[rank_by]), r.id_a, r.id_b))
-    return results[:top_k]
+    probs = cells.T / cells.sum(axis=1)
+    values = {kind: kind.on_cells(*probs) for kind in measures}
+    _, id_rank = np.unique(ids, return_inverse=True)
+    order = np.lexsort((id_rank[ib], id_rank[ia], -np.abs(values[rank_by])))[:top_k]
+
+    results = []
+    for k in order.tolist():
+        c = tuple(counts[k].tolist())
+        values_k = {kind: float(v[k]) for kind, v in values.items()}
+        results.append(PairResult(ids[ia[k]], ids[ib[k]], c, sum(c), values_k))
+    return results
 
 
 def render_results(results, measures):

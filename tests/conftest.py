@@ -24,6 +24,7 @@ from twobytwo import (
     symmetry_apply,
     theta,
 )
+from twobytwo.measures import MEASURES
 
 LN2 = math.log(2.0)
 
@@ -67,7 +68,7 @@ def max_roundtrip_error(count=10_000, seed=11, box=10.0):
     return worst
 
 
-CROSS_FORM_TAGS = ("yule_y", "corr_r", "d_prime", "entropy", "entropy_diag", "hs")
+CROSS_FORM_TAGS = tuple(tag for tag, m in MEASURES.items() if m.coords is not None)
 
 
 def max_cross_form_errors(count=10_000, seed=12):

@@ -102,6 +102,16 @@ class TestGrid:
         )
         assert result.exit_code == 2
 
+    def test_numeric_failure_exits_1(self, runner):
+        # At |y| = |z| = 400 the table's off-diagonal product underflows to 0.
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "lambda", "--odds-ratio", "40", "--half-width", "400", "--step", "200"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "lambda: divide by zero" in result.output
+
 
 class TestCritical:
     def test_below_magic_single_line(self, runner):
@@ -163,6 +173,26 @@ class TestScan:
         result = runner.invoke(main, ["scan", str(path), "--measure", "Y"])
         assert result.exit_code == 1
         assert "line 2, column 2" in result.output
+
+    def test_zero_pseudocount_exits_1(self, runner, tmp_path):
+        path = tmp_path / "zero.tsv"
+        path.write_text("a\tb\tc\n0\t0\t1\n1\t1\t0\n1\t1\t1\n")
+        result = runner.invoke(main, ["scan", str(path), "--measure", "Y", "--pseudocount", "0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "pair (a, b): zero cell" in result.output
+        assert "Traceback" not in result.output
+
+    def test_numeric_failure_exits_1(self, runner, tmp_path):
+        # Zero counts plus a subnormal pseudocount give cells whose products vanish.
+        path = tmp_path / "zero.tsv"
+        path.write_text("a\tb\tc\n0\t0\t1\n1\t1\t0\n1\t1\t1\n")
+        result = runner.invoke(
+            main, ["scan", str(path), "--measure", "Y", "--pseudocount", "1e-320"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "divide by zero" in result.output
 
     def test_jobs_flag_matches_serial(self, runner, tmp_path):
         path = self.make_input(tmp_path, n_markers=8)

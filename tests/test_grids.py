@@ -7,8 +7,17 @@ import math
 
 import pytest
 
-from twobytwo import GridSpec, MeasureKind, emit_grid
+from twobytwo import (
+    GridSpec,
+    MarginCoords,
+    MeasureKind,
+    emit_grid,
+    eval_in_coords,
+    evaluate,
+    psi,
+)
 from twobytwo.grids import grid_axis
+from twobytwo.measures import CLI_NAMES
 
 
 def render(spec):
@@ -98,3 +107,19 @@ class TestEmitGrid:
         for (y, z), value in grid.items():
             assert grid[(z, y)] == pytest.approx(value, abs=1e-12)
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("name", list(CLI_NAMES))
+    @pytest.mark.parametrize("odds_ratio", [40.0, 0.2])
+    def test_values_match_the_scalar_api(self, name, odds_ratio):
+        kind = MeasureKind.from_cli(name)
+        spec = GridSpec(kind, odds_ratio, 2.0, 0.5)
+        x = 0.5 * math.log(odds_ratio)
+        grid = parse(render(spec)[1])
+        assert len(grid) == 9 * 9
+        for (y, z), value in grid.items():
+            c = MarginCoords(x, y, z)
+            if kind.measure.coords is not None:
+                want = eval_in_coords(kind, c)
+            else:
+                want = evaluate(kind, psi(c))
+            assert abs(value - want) <= 1e-12, (y, z)

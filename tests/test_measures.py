@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from twobytwo import (
     MarginCoords,
@@ -32,6 +33,7 @@ from twobytwo import (
     yule_q,
     yule_y,
 )
+from twobytwo.cli import main
 from twobytwo.measures import CLI_NAMES
 from conftest import (
     axiom_suite_errors,
@@ -166,6 +168,33 @@ class TestMeasureKind:
 
     def test_kappa_undefined_raise_has_expected_type(self):
         assert issubclass(UndefinedKappa, ArithmeticError)
+
+    def test_undefined_kappa_raises_and_cli_exits_cleanly(self):
+        # Chance agreement rounds to exactly 1 on this table.
+        t = ProbTable(1, 1e-300, 1e-300, 1e-300)
+        with pytest.raises(UndefinedKappa):
+            kappa(t)
+        with pytest.raises(UndefinedKappa):
+            evaluate(MeasureKind.from_cli("kappa"), t)
+        result = CliRunner().invoke(
+            main, ["measure", "--table", "1,1e-300,1e-300,1e-300", "--measures", "kappa"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "kappa: chance agreement equals 1" in result.output
+        assert "Traceback" not in result.output
+
+    def test_zero_denominator_raises_and_cli_exits_cleanly(self):
+        # row1 * col1 underflows to 0 on this table, so r's denominator is 0.
+        t = ProbTable(1, 1e-300, 1e-300, 1e-300)
+        with pytest.raises(ArithmeticError):
+            corr_r(t)
+        result = CliRunner().invoke(
+            main, ["measure", "--table", "1,1e-300,1e-300,1e-300", "--measures", "r"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: r: ")
 
 
 class TestCoordinateForms:

@@ -13,10 +13,12 @@ from twobytwo import (
     ParseError,
     count_pair,
     counts_to_table,
+    evaluate,
     load_matrix,
     scan,
     yule_y,
 )
+from twobytwo.measures import CLI_NAMES
 from twobytwo.scanner import render_results
 
 
@@ -187,6 +189,59 @@ class TestScan:
         results = scan(m, [kind], kind, top_k=28)
         values = sorted(abs(r.values[kind]) for r in results)
         assert values[len(values) // 2] < 0.1
+
+    @pytest.mark.parametrize(
+        "text,pair",
+        [
+            ("a\tb\tc\n0\t0\t1\n1\t1\t0\n1\t1\t1", "(a, b)"),
+            # (a, b) has no zero cell; (a, c) has two, (b, c) none.
+            ("a\tb\tc\n0\t0\t0\n1\t0\t1\n0\t1\t0\n1\t1\t1", "(a, c)"),
+        ],
+    )
+    def test_zero_pseudocount_names_first_zero_cell_pair(self, text, pair):
+        m = matrix_from(text)
+        kind = MeasureKind("yule_y")
+        with pytest.raises(DegenerateTable) as err:
+            scan(m, [kind], kind, top_k=3, pseudocount=0.0)
+        assert str(err.value).startswith(f"pair {pair}: zero cell")
+
+    def test_ties_break_on_id_strings(self):
+        column = ["0", "1", "1", "0", "1", "0"]
+        lines = ["m2\tm10\tm1"] + ["\t".join([v] * 3) for v in column]
+        m = matrix_from("\n".join(lines))
+        kind = MeasureKind("yule_y")
+        results = scan(m, [kind], kind, top_k=3)
+        assert [(r.id_a, r.id_b) for r in results] == [
+            ("m10", "m1"),
+            ("m2", "m1"),
+            ("m2", "m10"),
+        ]
+
+    def test_all_pair_counts_match_count_pair_with_na(self):
+        rng = np.random.default_rng(16)
+        data = rng.choice(np.array(["0", "1", "NA"]), size=(80, 7), p=[0.5, 0.4, 0.1])
+        ids = [f"m{k}" for k in range(7)]
+        lines = ["\t".join(ids)] + ["\t".join(row) for row in data]
+        m = matrix_from("\n".join(lines))
+        kind = MeasureKind("corr_r")
+        results = scan(m, [kind], kind, top_k=21)
+        assert len(results) == 21
+        for r in results:
+            i, j = ids.index(r.id_a), ids.index(r.id_b)
+            assert r.counts == count_pair(m, i, j)
+            assert r.n == sum(r.counts)
+
+    def test_values_equal_the_scalar_api_bit_for_bit(self):
+        # Ranking ties are exact ties of these values, so the bulk kernels must
+        # agree with evaluate() on the pair's own table to the last bit.
+        m = matrix_from(random_matrix(300, 12, seed=17))
+        kinds = [MeasureKind.from_cli(name) for name in CLI_NAMES]
+        results = scan(m, kinds, kinds[-1], top_k=66)
+        for r in results:
+            table = counts_to_table(r.counts, 0.5)
+            for kind in kinds:
+                assert type(r.values[kind]) is float
+                assert r.values[kind] == evaluate(kind, table), (r.id_a, r.id_b, kind)
 
 
 class TestRender:
