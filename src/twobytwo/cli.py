@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import math
-import sys
 
 import click
 
 from .critical import DomainError, SolverError, critical_points
 from .grids import GridSpec, emit_grid
-from .measures import (
-    CLI_NAMES,
-    DEFAULT_HS_N,
-    MeasureKind,
-    UnsupportedKind,
-    evaluate,
-)
+from .measures import CLI_NAMES, DEFAULT_HS_N, MeasureKind, evaluate
 from .scanner import ParseError, load_matrix, render_results, scan
 from .tables import DegenerateTable, MarginCoords, ProbTable, psi
 
@@ -67,10 +60,10 @@ def _parse_table(text):
         raise click.UsageError(str(exc)) from None
 
 
-def _open_sink(path):
-    if path is None or path == "-":
-        return sys.stdout.buffer, False
-    return open(path, "wb"), True
+# Click opens the file on the first write and closes it when the command ends.
+_output = click.option(
+    "-o", "--output", type=click.File("wb"), default="-", help="output file (default stdout)"
+)
 
 
 @click.group()
@@ -96,7 +89,7 @@ def measure(table_text, measures_text, n):
     for name in names:
         try:
             kind = MeasureKind.from_cli(name, n)
-        except UnsupportedKind as exc:
+        except ValueError as exc:
             raise click.UsageError(str(exc)) from None
         try:
             value = evaluate(kind, table)
@@ -111,22 +104,18 @@ def measure(table_text, measures_text, n):
 @click.option("--half-width", required=True, type=float)
 @click.option("--step", required=True, type=float)
 @click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
-@click.option("-o", "--output", default=None, help="output file (default stdout)")
+@_output
 def grid(measure_name, odds_ratio, half_width, step, n, output):
     """Emit a y,z,value CSV grid of a margin weighting function."""
     try:
         kind = MeasureKind.from_cli(measure_name, n)
         spec = GridSpec(kind, odds_ratio, half_width, step)
-    except (UnsupportedKind, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    sink, close = _open_sink(output)
     try:
-        emit_grid(spec, sink)
+        emit_grid(spec, output)
     except ArithmeticError as exc:
         raise click.ClickException(f"{measure_name}: {exc}") from None
-    finally:
-        if close:
-            sink.close()
 
 
 @main.command()
@@ -166,7 +155,7 @@ def critical(odds_ratio):
 )
 @click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
 @click.option("--jobs", default=1, show_default=True, help="ignored; kept for compatibility")
-@click.option("-o", "--output", default=None, help="output file (default stdout)")
+@_output
 def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, output):
     """Rank marker pairs of a 0/1/NA TSV matrix by association strength."""
     try:
@@ -174,7 +163,7 @@ def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, outp
         rank_kind = (
             MeasureKind.from_cli(rank_by, n) if rank_by is not None else kinds[0]
         )
-    except UnsupportedKind as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     if rank_kind not in kinds:
         raise click.UsageError("--rank-by must be one of the requested measures")
@@ -183,17 +172,11 @@ def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, outp
         results = scan(matrix, kinds, rank_kind, top, pseudocount, jobs)
     except (ParseError, DegenerateTable, ValueError, ArithmeticError) as exc:
         raise click.ClickException(str(exc)) from None
-    text = render_results(results, kinds)
-    sink, close = _open_sink(output)
-    try:
-        sink.write(text.encode("utf-8"))
-    finally:
-        if close:
-            sink.close()
+    output.write(render_results(results, kinds).encode("utf-8"))
 
 
 @main.command()
-@click.option("-o", "--output", default=None, help="output file (default stdout)")
+@_output
 def table1(output):
     """Reference table: Y, r, D' and HS_4 on 35 selected tables."""
     lines = ["p00,p01,p10,p11,lambda,Y,r,Dprime,HS4"]
@@ -201,13 +184,7 @@ def table1(output):
         cells = [f"{_round_half_away(v):.3f}" for v in row[:4]]
         values = [f"{_round_half_away(v):.3f}" for v in row[5:]]
         lines.append(",".join(cells + [str(row[4])] + values))
-    text = "\n".join(lines) + "\n"
-    sink, close = _open_sink(output)
-    try:
-        sink.write(text.encode("utf-8"))
-    finally:
-        if close:
-            sink.close()
+    output.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 if __name__ == "__main__":

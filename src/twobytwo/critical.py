@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import GridSpec, grid_axis, grid_rows
 from .measures import MeasureKind
 from .tables import MarginCoords, ProbTable, symmetry_apply, theta
 
@@ -244,23 +245,19 @@ def critical_points(big_l):
 def entropy_grid_argmax(big_l, half_width, step):
     """Brute-force argmax of entropy over the (y, z) grid at x = ln sqrt(L).
 
-    Independent oracle for the solver: evaluates the entropy row by row
+    Independent oracle for the solver: walks the rows of the entropy grid
     and keeps the first (lexicographically smallest) maximising grid
     point.  Returns (y_star, z_star, h_star).
     """
     big_l = float(big_l)
     if not math.isfinite(big_l) or big_l <= 0.0:
         raise DomainError(f"odds-ratio must be finite and > 0, got {big_l!r}")
-    if step <= 0.0 or half_width <= 0.0:
-        raise ValueError("step and half_width must be > 0")
-    x = 0.5 * math.log(big_l)
-    count = int(round(2.0 * half_width / step)) + 1
-    axis = -half_width + step * np.arange(count)
+    spec = GridSpec(_ENTROPY, big_l, half_width, step)
+    axis = grid_axis(spec)
 
     best_h = -math.inf
     best_y = best_z = 0.0
-    for y in axis:
-        h_row = _ENTROPY.on_coords(x, y, axis)
+    for y, h_row in grid_rows(spec):
         i = int(np.argmax(h_row))
         if h_row[i] > best_h:
             best_h = float(h_row[i])

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eval_in_coords, evaluate and psi are the one-point forms of what emit_grid
+# eval_in_coords, evaluate and psi are the one-point forms of what grid_rows
 # computes a row at a time; perfbench/tracing.py wraps them here.
 from .measures import MeasureKind, eval_in_coords, evaluate
-from .tables import _EXP_FLOOR, psi
+from .tables import psi, psi_cells
 
-__all__ = ["GridSpec", "grid_axis", "emit_grid"]
+__all__ = ["GridSpec", "grid_axis", "grid_rows", "emit_grid"]
 
 
 @dataclass(frozen=True)
@@ -47,35 +47,36 @@ def grid_axis(spec):
     return [-spec.half_width + i * spec.step for i in range(count)]
 
 
-def _psi_cells(x, y, z):
-    """Cells of psi(MarginCoords(x, y, z)), broadcast over arrays."""
-    exps = (x + y + z, y, z, x)
-    m = np.maximum(np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3]))
-    weights = [np.exp(np.maximum(e - m, _EXP_FLOOR)) for e in exps]
-    total = sum(weights)
-    return [w / total for w in weights]
+def grid_rows(spec):
+    """Yield (y, values) for each y of the grid, values over the z axis.
+
+    Measures with a closed margin-coordinate form use it; the others are
+    evaluated on the table.  values is the kernel's result as it is, so a
+    measure that is constant on the plane gives one scalar per row.
+    """
+    x = 0.5 * math.log(spec.odds_ratio)
+    axis = grid_axis(spec)
+    z = np.array(axis)
+    kind = spec.measure
+    for y in axis:
+        if kind.measure.coords is not None:
+            yield y, kind.on_coords(x, y, z)
+        else:
+            yield y, kind.on_cells(*psi_cells(x, y, z))
 
 
 def emit_grid(spec, sink):
     """Write the grid as CSV bytes (y-major) to a binary sink; return row count.
 
     Values use shortest round-trip decimal formatting, so output is
-    byte-for-byte reproducible for a given spec.  Measures with a closed
-    margin-coordinate form use it; the others are evaluated on the table.
+    byte-for-byte reproducible for a given spec.
     """
-    x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
-    z = np.array(axis)
-    kind = spec.measure
     z_fields = [f"{zv!r}," for zv in axis]
 
     sink.write(b"y,z,value\n")
-    for y in axis:
-        if kind.measure.coords is not None:
-            values = kind.on_coords(x, y, z)
-        else:
-            values = kind.on_cells(*_psi_cells(x, y, z))
-        values = np.broadcast_to(values, z.shape).tolist()
+    for y, values in grid_rows(spec):
+        values = np.broadcast_to(values, (len(axis),)).tolist()
         y_field = f"{y!r},"
         lines = [f"{y_field}{zf}{v!r}\n" for zf, v in zip(z_fields, values)]
         sink.write("".join(lines).encode("ascii"))

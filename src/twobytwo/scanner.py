@@ -68,10 +68,8 @@ class PairResult:
     values: dict[MeasureKind, float] = field(default_factory=dict)
 
 
-def load_matrix(source, fmt="tsv"):
+def load_matrix(source):
     """Parse a TSV byte stream: header of marker ids, then 0/1/NA rows."""
-    if fmt != "tsv":
-        raise ValueError(f"unsupported format {fmt!r}")
     text = source.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -136,7 +134,7 @@ def counts_to_table(counts, pseudocount):
 def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """Evaluate all marker pairs and return the top_k by |rank_by| value.
 
-    The counts of every pair come from four matrix products and each
+    The counts of every pair come from three matrix products and each
     measure is evaluated once over all pairs.  Ties break on (id_a, id_b).
     ``jobs`` is ignored; it is kept for compatibility.
     """
@@ -154,8 +152,10 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     ones = (matrix.data == 1).astype(np.float64)
     n = (seen.T @ seen)[ia, ib]
     n11 = (ones.T @ ones)[ia, ib]
-    n10 = (ones.T @ seen)[ia, ib] - n11
-    n01 = (seen.T @ ones)[ia, ib] - n11
+    # (seen.T @ ones)[a, b] is (ones.T @ seen)[b, a].
+    ones_seen = ones.T @ seen
+    n10 = ones_seen[ia, ib] - n11
+    n01 = ones_seen[ib, ia] - n11
     counts = np.stack([n - n11 - n10 - n01, n01, n10, n11], axis=1).astype(np.int64)
 
     # counts_to_table decides which pairs have a table: check the first pair,

@@ -12,22 +12,24 @@ are driven to zero along a straight ray in coordinate space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "DegenerateTable",
     "ProbTable",
     "MarginCoords",
-    "SignPattern",
     "BoundaryKind",
     "BoundaryClass",
     "make_table",
     "margin_transform",
     "theta",
     "psi",
+    "psi_cells",
     "symmetry_apply",
-    "sign_pattern",
     "ray_limit",
 ]
 
@@ -36,14 +38,14 @@ class DegenerateTable(ValueError):
     """Table weights (or transformation scalars) are not finite and > 0."""
 
 
-# Smallest exponent passed to math.exp that still yields a positive double.
+# Smallest exponent passed to np.exp that still yields a positive double.
 # Keeps psi() total on |x|,|y|,|z| <= 500: dominated cells underflow to the
 # smallest subnormal instead of 0, so the result stays on the open manifold.
 _EXP_FLOOR = -744.0
 
 
 def _check_positive(value, what):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise DegenerateTable(f"{what} must be a positive real, got {value!r}")
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
@@ -119,25 +121,6 @@ class MarginCoords:
             object.__setattr__(self, name, value)
 
 
-_SIGNS = ("plus_inf", "minus_inf", "finite")
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Boundary direction of the cube compactification of coordinate space."""
-
-    sx: str
-    sy: str
-    sz: str
-
-    def __post_init__(self):
-        for name in ("sx", "sy", "sz"):
-            if getattr(self, name) not in _SIGNS:
-                raise ValueError(f"{name} must be one of {_SIGNS}")
-        if all(getattr(self, n) == "finite" for n in ("sx", "sy", "sz")):
-            raise ValueError("a SignPattern needs at least one non-finite coordinate")
-
-
 class BoundaryKind(Enum):
     VERTEX_SINGLE_ONE = "vertex_single_one"
     FACE_SINGLE_ZERO = "face_single_zero"
@@ -181,18 +164,24 @@ def theta(t):
     )
 
 
-def psi(c):
-    """Inverse of theta: table proportional to (e^{x+y+z}, e^y; e^z, e^x).
+def psi_cells(x, y, z):
+    """Cells of the table proportional to (e^{x+y+z}, e^y; e^z, e^x).
 
-    The maximal exponent is subtracted before exponentiation and dominated
-    cells are floored at the smallest positive double, so coordinates with
-    |x|, |y|, |z| <= 500 never overflow or produce a zero cell.
+    Broadcasts over coordinate arrays; ``psi`` is the one-point form.  The
+    maximal exponent is subtracted before exponentiation and dominated
+    weights are floored at exp(_EXP_FLOOR), so coordinates with |x|, |y|,
+    |z| <= 500 never overflow or produce a zero weight.
     """
-    x, y, z = c.x, c.y, c.z
     exps = (x + y + z, y, z, x)
-    m = max(exps)
-    cells = [math.exp(max(e - m, _EXP_FLOOR)) for e in exps]
-    return ProbTable(*cells)
+    m = np.maximum(np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3]))
+    weights = [np.exp(np.maximum(e - m, _EXP_FLOOR)) for e in exps]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def psi(c):
+    """Inverse of theta: the table of psi_cells at c."""
+    return ProbTable(*psi_cells(c.x, c.y, c.z))
 
 
 _SYMMETRY_OPS = ("transpose_markers", "swap_rows", "swap_cols")
@@ -211,22 +200,6 @@ def symmetry_apply(t, op):
     if op == "swap_cols":
         return ProbTable(t.p01, t.p00, t.p11, t.p10)
     raise ValueError(f"op must be one of {_SYMMETRY_OPS}, got {op!r}")
-
-
-def sign_pattern(direction):
-    """SignPattern describing the ray s*direction as s -> +infinity."""
-    dx, dy, dz = (float(d) for d in direction)
-    if dx == dy == dz == 0.0:
-        raise ValueError("direction must be non-zero")
-
-    def sign(d):
-        if d > 0:
-            return "plus_inf"
-        if d < 0:
-            return "minus_inf"
-        return "finite"
-
-    return SignPattern(sign(dx), sign(dy), sign(dz))
 
 
 _CELL_NAMES = ("p00", "p01", "p10", "p11")

@@ -62,6 +62,14 @@ class TestMeasure:
         result = runner.invoke(main, ["measure", "--tables", "1,1,1,1"])
         assert result.exit_code == 2
 
+    def test_bad_hs_exponent_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["measure", "--table", "0.4,0.1,0.2,0.3", "--measures", "HS", "--n", "-1"]
+        )
+        assert result.exit_code == 2
+        assert "hs needs n >= 0" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestGrid:
     def test_writes_csv_file(self, runner, tmp_path):
@@ -194,6 +202,13 @@ class TestScan:
         assert isinstance(result.exception, SystemExit)
         assert "divide by zero" in result.output
 
+    def test_bad_hs_exponent_exits_2(self, runner, tmp_path):
+        path = self.make_input(tmp_path)
+        result = runner.invoke(main, ["scan", str(path), "--measure", "HS", "--n", "nan"])
+        assert result.exit_code == 2
+        assert "hs needs n >= 0" in result.output
+        assert "Traceback" not in result.output
+
     def test_jobs_flag_matches_serial(self, runner, tmp_path):
         path = self.make_input(tmp_path, n_markers=8)
         serial = runner.invoke(main, ["scan", str(path), "--measure", "HS"])
@@ -227,3 +242,24 @@ class TestTable1:
         result = runner.invoke(main, ["table1", "-o", str(out)])
         assert result.exit_code == 0
         assert len(out.read_text().splitlines()) == 36
+
+
+class TestOutputOption:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["grid", "--measure", "Y", "--odds-ratio", "4", "--half-width", "1", "--step", "1"],
+            ["scan", "{input}", "--measure", "Y"],
+            ["table1"],
+        ],
+        ids=["grid", "scan", "table1"],
+    )
+    def test_missing_directory_exits_1(self, runner, tmp_path, args):
+        path = TestScan().make_input(tmp_path)
+        args = [a.format(input=path) for a in args]
+        target = tmp_path / "missing" / "out.csv"
+        result = runner.invoke(main, args + ["-o", str(target)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Could not open file" in result.output
+        assert "Traceback" not in result.output

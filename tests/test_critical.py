@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 
 from twobytwo import (
     DomainError,
+    GridSpec,
+    MeasureKind,
     critical_points,
+    emit_grid,
     entropy,
     entropy_grid_argmax,
     lambert_w0,
@@ -228,6 +232,20 @@ class TestEntropyGridOracle:
         )
         assert abs(best.coords.y - gy) <= step + 1e-12
         assert abs(best.coords.z - gz) <= step + 1e-12
+
+    def test_oracle_is_the_first_maximum_of_the_entropy_grid(self):
+        sink = io.BytesIO()
+        emit_grid(GridSpec(MeasureKind.from_cli("H"), 40.0, 2.0, 0.25), sink)
+        best = None
+        for line in sink.getvalue().decode("ascii").splitlines()[1:]:
+            y, z, h = (float(v) for v in line.split(","))
+            if best is None or h > best[2]:
+                best = (y, z, h)
+        assert entropy_grid_argmax(40.0, 2.0, 0.25) == best
+
+    def test_grid_rejects_step_wider_than_grid(self):
+        with pytest.raises(ValueError):
+            entropy_grid_argmax(5.0, 1.0, 2.5)
 
     def test_grid_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

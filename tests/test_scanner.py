@@ -83,10 +83,6 @@ class TestLoadMatrix:
         assert err.value.column == 2
         assert "'2'" in str(err.value)
 
-    def test_unsupported_format(self):
-        with pytest.raises(ValueError):
-            load_matrix(io.BytesIO(b"a\tb\n"), fmt="csv")
-
 
 class TestCountPair:
     def test_counts_with_pairwise_deletion(self):

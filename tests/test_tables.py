@@ -13,13 +13,12 @@ from twobytwo import (
     DegenerateTable,
     MarginCoords,
     ProbTable,
-    SignPattern,
     make_table,
     margin_transform,
     odds_ratio,
     psi,
+    psi_cells,
     ray_limit,
-    sign_pattern,
     symmetry_apply,
     theta,
 )
@@ -54,6 +53,16 @@ class TestMakeTable:
     def test_rejects_bad_weights(self, cells):
         with pytest.raises(DegenerateTable):
             make_table(*cells)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_numpy_scalar_cells(self, dtype):
+        cells = (1, 2, 3, 4)
+        assert ProbTable(*(dtype(v) for v in cells)) == ProbTable(*cells)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_booleans(self, flag):
+        with pytest.raises(DegenerateTable):
+            ProbTable(flag, 1, 1, 1)
 
     def test_margins_and_det(self):
         t = make_table(0.4, 0.1, 0.2, 0.3)
@@ -94,6 +103,11 @@ class TestMarginTransform:
             assert odds_ratio(margin_transform(t, mu, nu)) == pytest.approx(
                 odds_ratio(t), rel=1e-10
             )
+
+    def test_numpy_float32_scalars(self):
+        t = make_table(0.4, 0.1, 0.2, 0.3)
+        got = margin_transform(t, np.float32(2.0), np.float32(0.5))
+        assert got == margin_transform(t, 2.0, 0.5)
 
     @pytest.mark.parametrize("mu,nu", [(0, 1), (1, 0), (-2, 1), (math.nan, 1)])
     def test_rejects_bad_scalars(self, mu, nu):
@@ -156,6 +170,19 @@ class TestCoordinates:
         t = psi(MarginCoords(*coords))
         assert min(t.cells) > 0.0
         assert all(math.isfinite(p) for p in t.cells)
+
+    def test_psi_cells_match_psi_on_arrays(self):
+        rng = np.random.default_rng(25)
+        corners = np.array(np.meshgrid(*[(-500.0, 500.0)] * 3)).reshape(3, -1).T
+        points = np.concatenate(
+            [corners, rng.uniform(-500, 500, size=(200, 3)), rng.uniform(-10, 10, size=(200, 3))]
+        )
+        cells = np.array(psi_cells(*points.T))
+        assert cells.shape == (4, len(points))
+        for point, got in zip(points.tolist(), cells.T.tolist()):
+            want = psi(MarginCoords(*point)).cells
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15 * w, point
 
     def test_coords_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -262,13 +289,3 @@ class TestRayLimit:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             ray_limit((0, 0, 0))
-
-
-class TestSignPattern:
-    def test_from_direction(self):
-        p = sign_pattern((1.0, -0.5, 0.0))
-        assert (p.sx, p.sy, p.sz) == ("plus_inf", "minus_inf", "finite")
-
-    def test_all_finite_rejected(self):
-        with pytest.raises(ValueError):
-            SignPattern("finite", "finite", "finite")
