@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 
 import click
+from click.utils import LazyFile
 
-from .critical import DomainError, SolverError, critical_points
+from .critical import DomainError, critical_points
 from .grids import GridSpec, emit_grid
 from .measures import CLI_NAMES, DEFAULT_HS_N, MeasureKind, evaluate
 from .scanner import ParseError, load_matrix, render_results, scan
@@ -115,6 +117,9 @@ def grid(measure_name, odds_ratio, half_width, step, n, output):
     try:
         emit_grid(spec, output)
     except ArithmeticError as exc:
+        if isinstance(output, LazyFile):  # a file, not stdout: leave no partial CSV
+            output.close()
+            os.remove(output.name)
         raise click.ClickException(f"{measure_name}: {exc}") from None
 
 
@@ -126,8 +131,6 @@ def critical(odds_ratio):
         points = critical_points(odds_ratio)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from None
-    except SolverError as exc:
-        raise click.ClickException(str(exc)) from None
     for pt in points:
         cells = ",".join(f"{p:.12g}" for p in pt.table.cells)
         click.echo(

@@ -1,11 +1,21 @@
-"""Critical points of entropy at fixed odds-ratio, via Lambert's W function.
+"""Critical points of entropy at fixed odds-ratio, and Lambert's W function.
 
 Entropy restricted to the tables of a fixed odds-ratio L has a single
 maximum at the diagonal-symmetric table for moderate L, but past the
 "magic odds-ratio" W0(1/e)^-2 (about 12.896) the diagonal table turns
 into a saddle and two L-shaped maxima appear, mirror images under matrix
-transposition.  The stationarity system reduces to scalar equations in
-the two real branches of Lambert's W.
+transposition.  In the paper the stationarity system reduces to the two
+real branches of Lambert's W: an L-shaped table (a, B; S, a) satisfies
+(c*a, c*B, c*S) = (1/W0(u), -1/W0(-u), -1/W-1(-u)) for some c > 0 and
+u in (0, 1/e) with W-1(-u)*W0(-u) / W0(u)^2 = L.
+
+The solver uses the equivalent equation in margin coordinates.  At
+x = ln sqrt(L) every critical table lies on z = -y, where entropy is
+stationary exactly when g(y - x) = g(-y - x) with g(b) = b / (1 + e^-b).
+Divided by 2y, the difference keeps a sign at y = 0: positive, the
+diagonal table is a maximum; negative (past the magic odds-ratio), it is
+a saddle and one bisection finds the root y* in (0, x] that gives the
+L-shaped tables psi(x, y*, -y*) and psi(x, -y*, y*).
 """
 
 from __future__ import annotations
@@ -17,11 +27,10 @@ import numpy as np
 
 from .grids import GridSpec, grid_axis, grid_rows
 from .measures import MeasureKind
-from .tables import MarginCoords, ProbTable, symmetry_apply, theta
+from .tables import MarginCoords, ProbTable, psi, symmetry_apply, theta
 
 __all__ = [
     "DomainError",
-    "SolverError",
     "CriticalPoint",
     "lambert_w0",
     "lambert_w_minus1",
@@ -36,10 +45,6 @@ _ENTROPY = MeasureKind("entropy")
 
 class DomainError(ValueError):
     """Argument outside the domain of the requested function/branch."""
-
-
-class SolverError(RuntimeError):
-    """A scalar root-find failed to converge or to bracket."""
 
 
 def _halley(v, w):
@@ -134,112 +139,66 @@ class CriticalPoint:
     branch: str  # "diag", "L_upper" (p01 > p10) or "L_lower"
 
 
-def _bisect_secant(f, lo, hi):
-    """Root of f on a sign-changing bracket: bisection, then secant polish."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise SolverError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    a, fa, b, fb = lo, flo, hi, fhi
-    best = a if abs(fa) < abs(fb) else b
-    for _ in range(10):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not (lo <= c <= hi):
-            break
-        fc = f(c)
-        if abs(fc) < min(abs(fa), abs(fb)):
-            best = c
-        a, fa, b, fb = b, fb, c, fc
-        if fc == 0.0:
-            return c
-    return best
+def _stationarity(x, y):
+    """(g(y - x) - g(-y - x)) / 2y with g(b) = b / (1 + e^-b), free of cancellation.
+
+    Entropy on the line z = -y of the plane x is stationary exactly where
+    this vanishes.  Its limit at y = 0 is (1 - x + e^-x) / (4 cosh^2(x/2)),
+    where 1 - x is exact near the magic x = 1 + W0(1/e), so the sign there
+    is right for every double L above the magic odds-ratio.
+    """
+    if y == 0.0:
+        return (1.0 - x + math.exp(-x)) / (4.0 * math.cosh(0.5 * x) ** 2)
+    return 1.0 / (1.0 + math.exp(x - y)) - 0.5 * (x + y) * math.sinh(y) / y / (
+        math.cosh(x) + math.cosh(y)
+    )
 
 
-def _solve_mixed_branch(big_l):
-    """Solve for u in (0, 1/e) so that W-1(-u)*W0(-u) / W0(u)^2 = big_l."""
-    log_l = math.log(big_l)
-
-    def g(u):
-        prod = lambert_w_minus1(-u) * lambert_w0(-u)
-        return math.log(prod) - 2.0 * math.log(lambert_w0(u)) - log_l
-
-    hi = _INV_E * (1.0 - 1e-14)
-    lo = 1e-4
-    while g(lo) <= 0.0:
-        lo *= 0.1
-        if lo < 1e-250:
-            raise SolverError(f"could not bracket the branch equation for L={big_l}")
-    return _bisect_secant(g, lo, hi)
-
-
-def _diag_table(big_l):
-    root = math.sqrt(big_l)
-    a = root / (2.0 * (1.0 + root))
-    b = 1.0 / (2.0 * (1.0 + root))
-    return ProbTable(a, b, b, a)
-
-
-def _diag_classification(big_l):
-    # Sign of the closed-form second derivative across the diagonal:
-    # the diagonal table stops being a maximum once sqrt(L)*ln sqrt(L)
-    # exceeds 1 + sqrt(L), i.e. exactly at the magic odds-ratio.
-    root = math.sqrt(big_l)
-    curvature_factor = 1.0 - root * math.log(root) / (1.0 + root)
-    return "maximum" if curvature_factor >= 0.0 else "saddle"
+def _on_anti_diagonal(x, y, classification, branch):
+    table = psi(MarginCoords(x, y, -y))
+    return CriticalPoint(table, theta(table), classification, branch)
 
 
 def critical_points(big_l):
     """All critical tables of entropy restricted to odds-ratio == big_l.
 
+    Defined for every big_l > 0 such that big_l and 1/big_l are both finite
+    doubles (about 5.6e-309 to 1.8e308); anything else raises DomainError.
     One diagonal point for odds-ratios up to the magic value; past it the
     diagonal point is a saddle and two L-shaped maxima are appended
     (L_upper has the larger p01).  Odds-ratios below 1 are solved at 1/L
     and mapped back by a column swap.
     """
     big_l = float(big_l)
-    if not math.isfinite(big_l) or big_l <= 0.0:
-        raise DomainError(f"odds-ratio must be finite and > 0, got {big_l!r}")
+    if not (math.isfinite(big_l) and big_l > 0.0 and math.isfinite(1.0 / big_l)):
+        raise DomainError(
+            f"odds-ratio must be > 0 with a finite value and reciprocal, got {big_l!r}"
+        )
 
     if big_l < 1.0:
+        # Branch labels follow the mirrored solution: for L < 1 the two
+        # maxima are individually y<->z symmetric, so y-z cannot label them.
         mirrored = critical_points(1.0 / big_l)
-        out = []
-        for pt in mirrored:
-            # Branch labels follow the mirrored solution: for L < 1 the two
-            # maxima are individually y<->z symmetric, so y-z cannot label them.
-            table = symmetry_apply(pt.table, "swap_cols")
-            out.append(CriticalPoint(table, theta(table), pt.classification, pt.branch))
-        return out
+        swapped = [(symmetry_apply(pt.table, "swap_cols"), pt) for pt in mirrored]
+        return [CriticalPoint(t, theta(t), pt.classification, pt.branch) for t, pt in swapped]
 
-    table = _diag_table(big_l)
-    points = [CriticalPoint(table, theta(table), _diag_classification(big_l), "diag")]
-    if big_l <= magic_odds_ratio():
-        return points
-
-    u = _solve_mixed_branch(big_l)
-    a = 1.0 / lambert_w0(u)
-    big_cell = -1.0 / lambert_w0(-u)
-    small_cell = -1.0 / lambert_w_minus1(-u)
-    upper = ProbTable(a, big_cell, small_cell, a)
-    lower = ProbTable(a, small_cell, big_cell, a)
-    points.append(CriticalPoint(upper, theta(upper), "maximum", "L_upper"))
-    points.append(CriticalPoint(lower, theta(lower), "maximum", "L_lower"))
-    return points
+    # Every critical table lies on z = -y.  The sign at y = 0 classifies the
+    # diagonal point; a negative sign (past the magic odds-ratio) leaves one
+    # root y* in (0, x], since _stationarity(x, x) = (1 - tanh x) / 2 > 0.
+    x = 0.5 * math.log(big_l)
+    if _stationarity(x, 0.0) >= 0.0:
+        return [_on_anti_diagonal(x, 0.0, "maximum", "diag")]
+    lo, hi = 0.0, x
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _stationarity(x, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return [
+        _on_anti_diagonal(x, 0.0, "saddle", "diag"),
+        _on_anti_diagonal(x, hi, "maximum", "L_upper"),
+        _on_anti_diagonal(x, -hi, "maximum", "L_lower"),
+    ]
 
 
 def entropy_grid_argmax(big_l, half_width, step):

@@ -120,6 +120,17 @@ class TestGrid:
         assert isinstance(result.exception, SystemExit)
         assert "lambda: divide by zero" in result.output
 
+    def test_numeric_failure_leaves_no_output_file(self, runner, tmp_path):
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "lambda", "--odds-ratio", "40", "--half-width", "400",
+             "--step", "200", "-o", str(out)],
+        )
+        assert result.exit_code == 1
+        assert "lambda: divide by zero" in result.output
+        assert not out.exists()
+
 
 class TestCritical:
     def test_below_magic_single_line(self, runner):
@@ -139,6 +150,11 @@ class TestCritical:
         assert lines[2].startswith("L_lower,maximum,")
         cells = [float(v) for v in lines[1].split(",")[2:6]]
         assert sum(cells) == pytest.approx(1.0, abs=1e-9)
+
+    def test_extreme_odds_ratio_three_lines(self, runner):
+        result = runner.invoke(main, ["critical", "--odds-ratio", "1e300"])
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 3
 
     def test_bad_odds_ratio_exits_2(self, runner):
         result = runner.invoke(main, ["critical", "--odds-ratio", "0"])

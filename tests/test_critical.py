@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +165,47 @@ class TestCriticalPoints:
         for bad in (0.0, -3.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 critical_points(bad)
+
+    def test_reciprocal_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="1e-310"):
+            critical_points(1e-310)
+        # The smallest L with a finite reciprocal is solved.
+        tiny = math.nextafter(1.0 / sys.float_info.max, 1.0)
+        assert math.isfinite(1.0 / tiny)
+        assert len(critical_points(tiny)) == 3
+        assert len(critical_points(sys.float_info.max)) == 3
+
+    @pytest.mark.parametrize("big_l", [1e300, 1e-300])
+    def test_extreme_odds_ratios_solve(self, big_l):
+        pts = critical_points(big_l)
+        assert [p.branch for p in pts] == ["diag", "L_upper", "L_lower"]
+        for pt in pts:
+            p00, p01, p10, p11 = pt.table.cells
+            log_odds = math.log(p00) + math.log(p11) - math.log(p01) - math.log(p10)
+            assert abs(log_odds - math.log(big_l)) <= 1e-9
+
+    def test_three_points_just_above_magic(self):
+        big_l = magic_odds_ratio()
+        for _ in range(100):
+            big_l = math.nextafter(big_l, math.inf)
+            pts = critical_points(big_l)
+            assert [p.classification for p in pts] == ["saddle", "maximum", "maximum"]
+
+    @pytest.mark.parametrize("big_l", [14.0, 40.0, 400.0, 1e6, 1e300, 1.0 / 40.0])
+    def test_l_shaped_maxima_solve_the_lambert_w_form(self, big_l):
+        # (c*a, c*B, c*S) = (1/W0(u), -1/W0(-u), -1/W-1(-u)) for the corner a,
+        # big cell B and small cell S of an L-shaped table.
+        for pt in critical_points(big_l)[1:]:
+            table = pt.table
+            if big_l < 1.0:
+                table = symmetry_apply(table, "swap_cols")
+            a, big, small = table.p00, max(table.p01, table.p10), min(table.p01, table.p10)
+            c = (1.0 / small - 1.0 / big) / math.log(big / small)
+            inv_ca = 1.0 / (c * a)
+            u = inv_ca * math.exp(inv_ca)
+            want = (1.0 / lambert_w0(u), -1.0 / lambert_w0(-u), -1.0 / lambert_w_minus1(-u))
+            for got, w in zip((c * a, c * big, c * small), want):
+                assert got == pytest.approx(w, rel=1e-9)
 
     @pytest.mark.parametrize("big_l", [2.0, 5.0, 12.0, 14.0, 40.0, 400.0, 1e6])
     def test_stationarity_residuals(self, big_l):
