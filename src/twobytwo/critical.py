@@ -16,6 +16,11 @@ Divided by 2y, the difference keeps a sign at y = 0: positive, the
 diagonal table is a maximum; negative (past the magic odds-ratio), it is
 a saddle and one bisection finds the root y* in (0, x] that gives the
 L-shaped tables psi(x, y*, -y*) and psi(x, -y*, y*).
+
+The same bisection, to adjacent doubles, evaluates both real branches of
+W, each on a bracket a few binades wide and on an equation that neither
+overflows nor underflows: w*e^w = v for W0 with v <= e, and its logarithm
+w + ln|w| = ln|v| for W0 with v > e and for W-1.
 """
 
 from __future__ import annotations
@@ -47,30 +52,14 @@ class DomainError(ValueError):
     """Argument outside the domain of the requested function/branch."""
 
 
-def _halley(v, w):
-    """Polish a Lambert W estimate w for w*e^w = v (Halley iteration)."""
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - v
-        if f == 0.0:
-            return w
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            break
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if abs(step) <= 1e-14 * max(1.0, abs(w)):
-            return w
-    return w
-
-
-def _branch_point_series(v, branch):
-    # Expansion around v = -1/e where W = -1; p flips sign on the lower branch.
-    rho = max(math.e * v + 1.0, 0.0)
-    p = math.sqrt(2.0 * rho)
-    if branch == -1:
-        p = -p
-    return -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0 - 43.0 * p ** 4 / 540.0
+def _bisect(f, lo, hi):
+    """Halve [lo, hi] with f(lo) < 0 <= f(hi) down to adjacent doubles; return hi."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def lambert_w0(v):
@@ -78,26 +67,19 @@ def lambert_w0(v):
     v = float(v)
     if not math.isfinite(v):
         raise DomainError(f"lambert_w0 needs a finite argument, got {v!r}")
-    if v < -_INV_E:
+    if v <= -_INV_E:
         if v > -_INV_E * (1.0 + 1e-12):
             return -1.0
         raise DomainError(f"lambert_w0 domain is [-1/e, inf), got {v!r}")
     if v == 0.0:
         return 0.0
-    if v < 0.0:
-        w = _branch_point_series(v, 0)
-        if w >= 0.0:
-            w = -1e-12
-    elif v <= math.e:
-        w = math.log1p(v) * 0.75
-    else:
-        l1 = math.log(v)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    w = _halley(v, w)
-    if v < 0.0 and w < -1.0:
-        w = -1.0
-    return w
+    if v > math.e:
+        # w*e^w = v overflows near v = DBL_MAX; its logarithm does not.
+        log_v = math.log(v)
+        return _bisect(lambda w: w + math.log(w) - log_v, 1.0, log_v)
+    # W0 lies between v/e and v for v > 0, and between e*v and v for v < 0.
+    lo, hi = (max(math.e * v, -1.0), v) if v < 0.0 else (v / math.e, min(v, 1.0))
+    return _bisect(lambda w: w * math.exp(w) - v, lo, hi)
 
 
 def lambert_w_minus1(v):
@@ -105,23 +87,13 @@ def lambert_w_minus1(v):
     v = float(v)
     if not math.isfinite(v) or v >= 0.0:
         raise DomainError(f"lambert_w_minus1 domain is [-1/e, 0), got {v!r}")
-    if v < -_INV_E:
+    if v <= -_INV_E:
         if v > -_INV_E * (1.0 + 1e-12):
             return -1.0
         raise DomainError(f"lambert_w_minus1 domain is [-1/e, 0), got {v!r}")
-    rho = math.e * v + 1.0
-    if rho < 0.25:
-        w = _branch_point_series(v, -1)
-    else:
-        l1 = math.log(-v)
-        l2 = math.log(-l1) if l1 < 0.0 else 0.0
-        w = l1 - l2 + (l2 / l1 if l1 != 0.0 else 0.0)
-    if w > -1.0:
-        w = -1.0 - 1e-9
-    w = _halley(v, w)
-    if w > -1.0:
-        w = -1.0
-    return w
+    # In logarithms, w + ln(-w) = ln(-v), rising in w on [2 ln(-v) - 1, -1].
+    log_v = math.log(-v)
+    return _bisect(lambda w: w + math.log(-w) - log_v, 2.0 * log_v - 1.0, -1.0)
 
 
 def magic_odds_ratio():
@@ -188,16 +160,11 @@ def critical_points(big_l):
     x = 0.5 * math.log(big_l)
     if _stationarity(x, 0.0) >= 0.0:
         return [_on_anti_diagonal(x, 0.0, "maximum", "diag")]
-    lo, hi = 0.0, x
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _stationarity(x, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    y_star = _bisect(lambda y: _stationarity(x, y), 0.0, x)
     return [
         _on_anti_diagonal(x, 0.0, "saddle", "diag"),
-        _on_anti_diagonal(x, hi, "maximum", "L_upper"),
-        _on_anti_diagonal(x, -hi, "maximum", "L_lower"),
+        _on_anti_diagonal(x, y_star, "maximum", "L_upper"),
+        _on_anti_diagonal(x, -y_star, "maximum", "L_lower"),
     ]
 
 

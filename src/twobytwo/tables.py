@@ -157,10 +157,12 @@ def margin_transform(t, mu, nu):
 def theta(t):
     """Coordinates of a table: x = ln sqrt(odds-ratio), plus margin axes y, z."""
     l00, l01, l10, l11 = (math.log(p) for p in t.cells)
+    # y and z from mirrored-cell differences, so that transposition swaps
+    # them and a diagonal-symmetric table has y = z = 0 exactly.
     return MarginCoords(
         0.5 * (l00 + l11 - l01 - l10),
-        0.5 * (l00 + l01 - l10 - l11),
-        0.5 * (l00 + l10 - l01 - l11),
+        0.5 * ((l00 - l11) + (l01 - l10)),
+        0.5 * ((l00 - l11) - (l01 - l10)),
     )
 
 
@@ -170,13 +172,17 @@ def psi_cells(x, y, z):
     Broadcasts over coordinate arrays; ``psi`` is the one-point form.  The
     maximal exponent is subtracted before exponentiation and dominated
     weights are floored at exp(_EXP_FLOOR), so coordinates with |x|, |y|,
-    |z| <= 500 never overflow or produce a zero weight.
+    |z| <= 500 never overflow or produce a zero weight.  The exponents are
+    centred on (x + y + z) / 2 and written in u = y + z and w = y - z, so
+    that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps p00 with
+    p11 and p01 with p10 exactly.
     """
-    exps = (x + y + z, y, z, x)
+    u, w = y + z, y - z
+    exps = (0.5 * (x + u), 0.5 * (w - x), -0.5 * (x + w), 0.5 * (x - u))
     m = np.maximum(np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3]))
     weights = [np.exp(np.maximum(e - m, _EXP_FLOOR)) for e in exps]
-    total = sum(weights)
-    return [w / total for w in weights]
+    total = (weights[0] + weights[3]) + (weights[1] + weights[2])
+    return [weight / total for weight in weights]
 
 
 def psi(c):
@@ -224,6 +230,8 @@ def ray_limit(direction):
     plain 4-tuple because boundary tables are not ProbTable values.
     """
     dx, dy, dz = (float(d) for d in direction)
+    if not all(math.isfinite(d) for d in (dx, dy, dz)):
+        raise ValueError(f"direction must be finite, got {direction!r}")
     if dx == dy == dz == 0.0:
         raise ValueError("direction must be non-zero")
     coeffs = (dx + dy + dz, dy, dz, dx)

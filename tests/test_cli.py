@@ -151,6 +151,13 @@ class TestCritical:
         cells = [float(v) for v in lines[1].split(",")[2:6]]
         assert sum(cells) == pytest.approx(1.0, abs=1e-9)
 
+    def test_diagonal_point_prints_exact_zero_margins(self, runner):
+        result = runner.invoke(main, ["critical", "--odds-ratio", "40"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[0].endswith(",0,0")
+        assert "-0" not in [field for line in lines for field in line.split(",")]
+
     def test_extreme_odds_ratio_three_lines(self, runner):
         result = runner.invoke(main, ["critical", "--odds-ratio", "1e300"])
         assert result.exit_code == 0

@@ -85,6 +85,18 @@ class TestLambertW:
         v = -INV_E * (1.0 - 1e-15)
         assert lambert_w0(v) == pytest.approx(lambert_w_minus1(v), abs=1e-7)
 
+    def test_principal_branch_at_the_largest_double(self):
+        ref = float(scipy_special.lambertw(sys.float_info.max, 0).real)
+        assert lambert_w0(sys.float_info.max) == pytest.approx(ref, rel=1e-15)
+
+    def test_lower_branch_at_the_smallest_subnormal(self):
+        # scipy returns -inf here; the literal is W-1(-2^-1074) to 16 digits.
+        assert lambert_w_minus1(-5e-324) == pytest.approx(-751.0615595398791, rel=1e-15)
+
+    def test_principal_branch_at_the_smallest_subnormals(self):
+        assert lambert_w0(5e-324) == 5e-324
+        assert lambert_w0(-5e-324) == -5e-324
+
 
 class TestMagicOddsRatio:
     def test_value(self):
@@ -135,6 +147,20 @@ class TestCriticalPoints:
         mirrored = symmetry_apply(upper.table, "transpose_markers")
         for a, b in zip(mirrored.cells, lower.table.cells):
             assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("big_l", [14.0, 40.0, 1e300, 1.0 / 40.0, 1e-300])
+    def test_maxima_are_exact_mirror_images(self, big_l):
+        # Transposes of one another for L > 1; for L < 1, after the column
+        # swap, 180-degree rotations.  The diagonal point has y = z = 0.
+        diag, upper, lower = critical_points(big_l)
+        p00, p01, p10, p11 = upper.table.cells
+        mirror = (p00, p10, p01, p11) if big_l > 1.0 else (p11, p10, p01, p00)
+        assert lower.table.cells == mirror
+        assert (diag.coords.y, diag.coords.z) == (0.0, 0.0)
+        if big_l > 1.0:
+            assert (lower.coords.y, lower.coords.z) == (upper.coords.z, upper.coords.y)
+        else:
+            assert (lower.coords.y, lower.coords.z) == (-upper.coords.y, -upper.coords.z)
 
     def test_diagonal_closed_form(self):
         pts = critical_points(5.0)

@@ -289,3 +289,8 @@ class TestRayLimit:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             ray_limit((0, 0, 0))
+
+    @pytest.mark.parametrize("direction", [(math.nan, 0, 0), (math.inf, 0, 0), (0, -math.inf, 1)])
+    def test_non_finite_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="finite"):
+            ray_limit(direction)
