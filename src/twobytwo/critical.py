@@ -12,10 +12,13 @@ u in (0, 1/e) with W-1(-u)*W0(-u) / W0(u)^2 = L.
 The solver uses the equivalent equation in margin coordinates.  At
 x = ln sqrt(L) every critical table lies on z = -y, where entropy is
 stationary exactly when g(y - x) = g(-y - x) with g(b) = b / (1 + e^-b).
-Divided by 2y, the difference keeps a sign at y = 0: positive, the
-diagonal table is a maximum; negative (past the magic odds-ratio), it is
-a saddle and one bisection finds the root y* in (0, x] that gives the
-L-shaped tables psi(x, y*, -y*) and psi(x, -y*, y*).
+Divided by 2y and multiplied by 2 (cosh x + cosh y), the difference is
+N(y) = e^-x + cosh y - x sinh(y)/y, whose sign at y = 0 decides: positive,
+the diagonal table is a maximum; negative (past the magic odds-ratio), it
+is a saddle and one bisection finds the root y* in (0, x] that gives the
+L-shaped tables psi(x, y*, -y*) and psi(x, -y*, y*).  N is summed as N(0)
+plus N(y) - N(0), each free of cancellation, so y* stays accurate to
+rounding just past the bifurcation, where N(0) is about 1e-16.
 
 The same bisection, to adjacent doubles, evaluates both real branches of
 W, each on a bracket a few binades wide and on an equation that neither
@@ -45,6 +48,15 @@ __all__ = [
 ]
 
 _INV_E = math.exp(-1.0)
+# N0(x) = 1 - x + e^-x vanishes at the magic x = 1 + W0(1/e), where the
+# rounding of e^-x alone would swamp it.  With d = _X0 - x, exact near the
+# magic x, N0(x) = N0(_X0) + d + e^-_X0 expm1(d), and N0(_X0) is a constant.
+_X0 = 1.2784645427610737  # the double nearest 1 + W0(1/e)
+_N0_AT_X0 = 1.3995343912896686e-16  # 1 - _X0 + e^-_X0, by mpmath at 60 digits
+_EXP_NEG_X0 = math.exp(-_X0)
+# Below y = 0.1, five terms of _rise's Taylor series reach 1e-19 relative.
+_SERIES_BELOW = 0.1
+_SERIES_TERMS = tuple((m, math.factorial(m)) for m in (11, 9, 7, 5, 3))
 _ENTROPY = MeasureKind("entropy")
 
 
@@ -111,19 +123,22 @@ class CriticalPoint:
     branch: str  # "diag", "L_upper" (p01 > p10) or "L_lower"
 
 
-def _stationarity(x, y):
-    """(g(y - x) - g(-y - x)) / 2y with g(b) = b / (1 + e^-b), free of cancellation.
+def _n0(x):
+    """1 - x + e^-x, accurate to rounding also where it vanishes (see _X0)."""
+    d = _X0 - x
+    return _N0_AT_X0 + d + _EXP_NEG_X0 * math.expm1(d)
 
-    Entropy on the line z = -y of the plane x is stationary exactly where
-    this vanishes.  Its limit at y = 0 is (1 - x + e^-x) / (4 cosh^2(x/2)),
-    where 1 - x is exact near the magic x = 1 + W0(1/e), so the sign there
-    is right for every double L above the magic odds-ratio.
-    """
-    if y == 0.0:
-        return (1.0 - x + math.exp(-x)) / (4.0 * math.cosh(0.5 * x) ** 2)
-    return 1.0 / (1.0 + math.exp(x - y)) - 0.5 * (x + y) * math.sinh(y) / y / (
-        math.cosh(x) + math.cosh(y)
-    )
+
+def _rise(x, y):
+    """(cosh y - 1) - x (sinh(y)/y - 1), free of cancellation for y > 0."""
+    if y >= _SERIES_BELOW:
+        return 2.0 * math.sinh(0.5 * y) ** 2 - x * (math.sinh(y) - y) / y
+    # y^2 times the sum over m = 3, 5, ..., 11 of (m - x) / m! * y^(m - 3).
+    y2 = y * y
+    r = 0.0
+    for m, m_factorial in _SERIES_TERMS:
+        r = r * y2 + (m - x) / m_factorial
+    return y2 * r
 
 
 def _on_anti_diagonal(x, y, classification, branch):
@@ -154,13 +169,15 @@ def critical_points(big_l):
         swapped = [(symmetry_apply(pt.table, "swap_cols"), pt) for pt in mirrored]
         return [CriticalPoint(t, theta(t), pt.classification, pt.branch) for t, pt in swapped]
 
-    # Every critical table lies on z = -y.  The sign at y = 0 classifies the
-    # diagonal point; a negative sign (past the magic odds-ratio) leaves one
-    # root y* in (0, x], since _stationarity(x, x) = (1 - tanh x) / 2 > 0.
+    # Every critical table lies on z = -y.  The sign of N(0) = _n0(x)
+    # classifies the diagonal point; a negative sign (past the magic
+    # odds-ratio) leaves one root y* in (0, x] of N(y) = N(0) + _rise(x, y),
+    # since N(x) = 2 e^-x > 0.
     x = 0.5 * math.log(big_l)
-    if _stationarity(x, 0.0) >= 0.0:
+    n0 = _n0(x)
+    if n0 >= 0.0:
         return [_on_anti_diagonal(x, 0.0, "maximum", "diag")]
-    y_star = _bisect(lambda y: _stationarity(x, y), 0.0, x)
+    y_star = _bisect(lambda y: n0 + _rise(x, y), 0.0, x)
     return [
         _on_anti_diagonal(x, 0.0, "saddle", "diag"),
         _on_anti_diagonal(x, y_star, "maximum", "L_upper"),

@@ -29,6 +29,10 @@ __all__ = [
 
 _MISSING = -1
 _TOKENS = {"0": 0, "1": 1, "NA": _MISSING}
+# Code of each byte of the canonical form, with NA read from its N.
+_NOT_A_TOKEN = -2
+_BYTE_TOKENS = np.full(256, _NOT_A_TOKEN, dtype=np.int8)
+_BYTE_TOKENS[[ord("0"), ord("1"), ord("N")]] = [0, 1, _MISSING]
 
 
 class ParseError(ValueError):
@@ -69,10 +73,59 @@ class PairResult:
 
 
 def load_matrix(source):
-    """Parse a TSV byte stream: header of marker ids, then 0/1/NA rows."""
-    text = source.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Parse a TSV byte stream: header of marker ids, then 0/1/NA rows.
+
+    Canonical input is read in one vectorised pass: a UTF-8 header line,
+    then rows made only of 0/1/NA tokens joined by single tabs, each row
+    ended by a newline (optional on the last).  Any other input (CRLF,
+    blank lines, spaces around tokens, a header that ``str.splitlines``
+    would split, and every malformed input) goes to the line-by-line
+    parser, which accepts the same matrices and reports the line and
+    column of the first error.
+    """
+    raw = source.read()
+    if isinstance(raw, bytes):
+        matrix = _parse_canonical(raw)
+        if matrix is not None:
+            return matrix
+        raw = raw.decode("utf-8")
+    return _parse_lines(raw)
+
+
+def _parse_canonical(raw):
+    """BinaryMatrix of canonical input (see load_matrix), or None."""
+    header, _, body = raw.partition(b"\n")
+    try:
+        header = header.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    marker_ids = header.split("\t")
+    if header.splitlines() != [header] or len(marker_ids) < 2:
+        return None
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    chars = np.frombuffer(body, dtype=np.uint8)
+    # Each A must follow an N and each N must be followed by an A; dropping
+    # the A leaves one byte per token.
+    is_a = chars == ord("A")
+    if chars.size and (is_a[0] or not np.array_equal(chars[:-1] == ord("N"), is_a[1:])):
+        return None
+    chars = chars[~is_a]
+    # Every row then reads token, tab, token, ..., tab, token, newline.
+    width = 2 * len(marker_ids)
+    if chars.size % width:
+        return None
+    rows = chars.reshape(-1, width)
+    separators = np.full(len(marker_ids), ord("\t"), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    data = _BYTE_TOKENS[rows[:, ::2]]
+    if (data == _NOT_A_TOKEN).any() or not (rows[:, 1::2] == separators).all():
+        return None
+    return BinaryMatrix(marker_ids, data)
+
+
+def _parse_lines(text):
+    """Line-by-line parser: skips blank lines and strips spaces around tokens."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
@@ -134,9 +187,14 @@ def counts_to_table(counts, pseudocount):
 def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """Evaluate all marker pairs and return the top_k by |rank_by| value.
 
-    The counts of every pair come from three matrix products and each
-    measure is evaluated once over all pairs.  Ties break on (id_a, id_b).
-    ``jobs`` is ignored; it is kept for compatibility.
+    The counts of every pair come from three matrix products, in float32
+    when n_samples <= 2**24, where its integer sums are exact, and in
+    float64 above.  rank_by is evaluated over all pairs.  Only the pairs
+    whose |value| is at least the top_k-th largest, every tie included, are
+    sorted on (-|value|, id_a, id_b), and the other measures are evaluated
+    on the top_k pairs alone: a measure that would fail only on a pair
+    outside them does not fail the scan.  ``jobs`` is ignored; it is kept
+    for compatibility.
     """
     if rank_by not in measures:
         raise ValueError("rank_by must be one of the requested measures")
@@ -147,36 +205,47 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     if ia.size == 0:
         return []
 
-    # Float64 products count exactly up to 2**53 samples.
-    seen = (matrix.data != _MISSING).astype(np.float64)
-    ones = (matrix.data == 1).astype(np.float64)
+    dtype = np.float32 if matrix.n_samples <= 2**24 else np.float64
+    seen = (matrix.data != _MISSING).astype(dtype)
+    ones = (matrix.data == 1).astype(dtype)
     n = (seen.T @ seen)[ia, ib]
     n11 = (ones.T @ ones)[ia, ib]
     # (seen.T @ ones)[a, b] is (ones.T @ seen)[b, a].
     ones_seen = ones.T @ seen
     n10 = ones_seen[ia, ib] - n11
     n01 = ones_seen[ib, ia] - n11
-    counts = np.stack([n - n11 - n10 - n01, n01, n10, n11], axis=1).astype(np.int64)
+    counts = np.stack([n - n11 - n10 - n01, n01, n10, n11], axis=1)
+    cells = np.add(counts, pseudocount, dtype=np.float64)
 
     # counts_to_table decides which pairs have a table: check the first pair,
     # where a bad pseudocount fails, and the first pair with a zero cell.
-    cells = counts + pseudocount
-    for k in [0] + np.flatnonzero((cells <= 0.0).any(axis=1))[:1].tolist():
+    first_zero_cell = np.flatnonzero(cells.ravel() <= 0.0)[:1]
+    for k in [0] + (first_zero_cell // 4).tolist():
         try:
-            counts_to_table(tuple(counts[k].tolist()), pseudocount)
+            counts_to_table(tuple(int(c) for c in counts[k]), pseudocount)
         except DegenerateTable as exc:
             raise DegenerateTable(f"pair ({ids[ia[k]]}, {ids[ib[k]]}): {exc}") from exc
 
-    probs = cells.T / cells.sum(axis=1)
-    values = {kind: kind.on_cells(*probs) for kind in measures}
+    total = cells.sum(axis=1)
+    rank_values = rank_by.on_cells(*(cells.T / total))
+    key = -np.abs(rank_values)
+    candidates = np.arange(key.size)
+    if top_k < key.size:
+        candidates = np.flatnonzero(key <= np.partition(key, top_k - 1)[top_k - 1])
     _, id_rank = np.unique(ids, return_inverse=True)
-    order = np.lexsort((id_rank[ib], id_rank[ia], -np.abs(values[rank_by])))[:top_k]
+    a, b = id_rank[ia[candidates]], id_rank[ib[candidates]]
+    top = candidates[np.lexsort((b, a, key[candidates]))[:top_k]]
 
+    top_probs = cells[top].T / total[top]
+    values = {
+        kind: rank_values[top] if kind == rank_by else kind.on_cells(*top_probs)
+        for kind in measures
+    }
     results = []
-    for k in order.tolist():
-        c = tuple(counts[k].tolist())
+    for k, c in enumerate(counts[top].astype(np.int64).tolist()):
         values_k = {kind: float(v[k]) for kind, v in values.items()}
-        results.append(PairResult(ids[ia[k]], ids[ib[k]], c, sum(c), values_k))
+        pair = top[k]
+        results.append(PairResult(ids[ia[pair]], ids[ib[pair]], tuple(c), sum(c), values_k))
     return results
 
 

@@ -225,6 +225,23 @@ class TestScan:
         assert isinstance(result.exception, SystemExit)
         assert "divide by zero" in result.output
 
+    def test_measure_failing_only_outside_the_top_pairs(self, runner, tmp_path):
+        # (a, b) has no zero cell; (a, c) and (b, c) have one, where Y
+        # overflows with a subnormal pseudocount and D does not.
+        a = [k % 2 for k in range(40)]
+        b = [1 - v if k in (3, 10, 17, 24) else v for k, v in enumerate(a)]
+        c = [int(k == 1) for k in range(40)]
+        path = tmp_path / "rare.tsv"
+        path.write_text("a\tb\tc\n" + "".join(f"{u}\t{v}\t{w}\n" for u, v, w in zip(a, b, c)))
+        args = ["scan", str(path), "--measure", "D", "--measure", "Y", "--pseudocount", "1e-320"]
+        result = runner.invoke(main, args + ["--top", "1"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1].startswith("a,b,40,")
+        result = runner.invoke(main, args + ["--top", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: overflow encountered in divide\n"
+
     def test_bad_hs_exponent_exits_2(self, runner, tmp_path):
         path = self.make_input(tmp_path)
         result = runner.invoke(main, ["scan", str(path), "--measure", "HS", "--n", "nan"])

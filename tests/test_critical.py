@@ -217,6 +217,30 @@ class TestCriticalPoints:
             pts = critical_points(big_l)
             assert [p.classification for p in pts] == ["saddle", "maximum", "maximum"]
 
+    def test_l_shaped_root_just_above_magic_to_1e_8(self):
+        # y of L_upper is within 1e-8 relative of the root of
+        # (g(y - x) - g(-y - x)) / 2y, g(b) = b / (1 + e^-b), at the x = ln(L)/2
+        # the solver uses: mpmath at 60 digits finds a sign change around it.
+        mpmath = pytest.importorskip("mpmath")
+        magic = magic_odds_ratio()
+        odds_ratios = [magic * (1.0 + 10.0**-k) for k in range(2, 16)]
+        big_l = magic
+        for _ in range(100):
+            big_l = math.nextafter(big_l, math.inf)
+            odds_ratios.append(big_l)
+        with mpmath.workdps(60):
+            for big_l in odds_ratios:
+                x = mpmath.mpf(0.5 * math.log(big_l))
+
+                def g(b):
+                    return b / (1 + mpmath.exp(-b))
+
+                def f(y):
+                    return (g(y - x) - g(-y - x)) / (2 * y)
+
+                y = mpmath.mpf(critical_points(big_l)[1].coords.y)
+                assert f(y * (1 - 1e-8)) < 0 < f(y * (1 + 1e-8)), big_l
+
     @pytest.mark.parametrize("big_l", [14.0, 40.0, 400.0, 1e6, 1e300, 1.0 / 40.0])
     def test_l_shaped_maxima_solve_the_lambert_w_form(self, big_l):
         # (c*a, c*B, c*S) = (1/W0(u), -1/W0(-u), -1/W-1(-u)) for the corner a,

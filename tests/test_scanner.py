@@ -6,6 +6,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twobytwo import (
     DegenerateTable,
@@ -19,7 +20,7 @@ from twobytwo import (
     yule_y,
 )
 from twobytwo.measures import CLI_NAMES
-from twobytwo.scanner import render_results
+from twobytwo.scanner import _parse_canonical, _parse_lines, render_results
 
 
 def matrix_from(text):
@@ -82,6 +83,89 @@ class TestLoadMatrix:
         assert err.value.line == 3
         assert err.value.column == 2
         assert "'2'" in str(err.value)
+
+
+def parse_outcome(parse):
+    """The matrix a parser returns, or the error it raises, in comparable form."""
+    try:
+        m = parse()
+    except ValueError as exc:  # ParseError or UnicodeDecodeError
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return m.marker_ids, m.data.dtype, m.data.shape, m.data.tolist()
+
+
+def assert_parsers_agree(raw):
+    fast = parse_outcome(lambda: load_matrix(io.BytesIO(raw)))
+    loop = parse_outcome(lambda: _parse_lines(raw.decode("utf-8")))
+    assert fast == loop
+
+
+CANONICAL = b"m2\tm10\tm1\n0\t1\tNA\nNA\t0\t1\n1\t1\t0\nNA\tNA\tNA\n"
+
+# (raw input, whether the vectorised pass reads it)
+PARSER_CASES = {
+    "final newline": (CANONICAL, True),
+    "no final newline": (CANONICAL[:-1], True),
+    "header only": (b"a\tb\n", True),
+    "header only, no newline": (b"a\tb", True),
+    "utf-8 header": ("\u00e4\t\u03b2\ufeff\n0\t1\n".encode(), True),
+    "empty header id": (b"\tb\n0\t1\n", True),
+    "crlf": (CANONICAL.replace(b"\n", b"\r\n"), False),
+    "cr": (CANONICAL.replace(b"\n", b"\r"), False),
+    "blank line": (b"a\tb\n0\t1\n\n1\t0\n", False),
+    "trailing blank lines": (b"a\tb\n0\t1\n\n\n", False),
+    "whitespace line": (b"a\tb\n0\t1\n  \n1\t0\n", False),
+    "spaces around tokens": (b"a\tb\n 0\t1 \nNA \t 0\n", False),
+    "form feed inside a header id": (b"a\x0cx\tb\n0\t1\n", False),
+    "form feed ending the header": (b"a\tb\x0c\n0\t1\n", False),
+    "line separator inside a header id": ("a\u2028x\tb\ty\n0\t1\n".encode(), False),
+    "vertical tab in a row": (b"a\tb\n0\x0b1\n", False),
+    "bad token, first column": (b"a\tb\tc\n0\t1\t0\n2\t1\t0\n", False),
+    "bad token, last column": (b"a\tb\tc\n0\t1\t0\n1\t0\tx\n", False),
+    "lone N": (b"a\tb\n0\tN\n", False),
+    "lone N, no final newline": (b"a\tb\n0\tN", False),
+    "lone A": (b"a\tb\nA\t1\n", False),
+    "NAA": (b"a\tb\nNAA\t1\n", False),
+    "empty field": (b"a\tb\tc\n0\t\t1\n", False),
+    "trailing tab": (b"a\tb\n0\t1\t\n", False),
+    "short row": (b"a\tb\tc\n0\t1\t0\n0\t1\n", False),
+    "long row": (b"a\tb\n0\t1\t1\n", False),
+    "two rows on one line": (b"a\tb\n0\t1\t1\t0\n", False),
+    "non-utf-8 header": (b"a\xff\tb\n0\t1\n", False),
+    "non-utf-8 row": (b"a\tb\n0\t\xff\n", False),
+    "empty input": (b"", False),
+    "one marker": (b"a\n0\n", False),
+}
+
+
+class TestParserEquivalence:
+    @pytest.mark.parametrize("raw,canonical", PARSER_CASES.values(), ids=PARSER_CASES)
+    def test_matches_the_line_parser(self, raw, canonical):
+        assert (_parse_canonical(raw) is not None) == canonical
+        assert_parsers_agree(raw)
+
+    def test_workload_sized_matrix(self):
+        rng = np.random.default_rng(21)
+        data = rng.choice(np.array(["0", "1", "NA"]), size=(400, 60), p=[0.5, 0.45, 0.05])
+        lines = ["\t".join(f"m{k}" for k in range(60))] + ["\t".join(row) for row in data]
+        raw = "\n".join(lines).encode()
+        assert _parse_canonical(raw) is not None
+        assert_parsers_agree(raw)
+        assert_parsers_agree(raw + b"\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.sampled_from([b"0", b"1", b"NA"]), min_size=3, max_size=3)),
+        final_newline=st.booleans(),
+        glitch=st.sampled_from([b"", b"\r", b" ", b"\n", b"\t", b"2", b"N", b"A", b"\xff"]),
+        at=st.integers(min_value=0),
+        width=st.integers(min_value=0, max_value=1),
+    )
+    def test_matches_the_line_parser_near_canonical(self, rows, final_newline, glitch, at, width):
+        # A canonical 3-marker matrix with one byte replaced or inserted at `at`.
+        body = b"\n".join(b"\t".join(row) for row in rows) + b"\n" * final_newline
+        at %= len(body) + 1
+        assert_parsers_agree(b"a\tb\tc\n" + body[:at] + glitch + body[at + width :])
 
 
 class TestCountPair:
@@ -226,6 +310,46 @@ class TestScan:
             i, j = ids.index(r.id_a), ids.index(r.id_b)
             assert r.counts == count_pair(m, i, j)
             assert r.n == sum(r.counts)
+
+    @pytest.mark.parametrize("top_k", [1, 3, 10, 11, 12, 25, 66, 67, 500])
+    def test_ties_at_the_cutoff_follow_a_full_sort(self, top_k):
+        # Six copies of one column and five of another: 15 and 10 pairs with
+        # identical tables, so more than top_k pairs tie at the k-th |v|.
+        rng = np.random.default_rng(18)
+        base = rng.integers(0, 2, size=(60, 3)).astype(str)
+        base[rng.random(base.shape) < 0.1] = "NA"
+        columns = [0, 1, 0, 0, 1, 0, 2, 1, 0, 1, 0, 1]
+        ids = ["m9", "m10", "m1", "m2", "m11", "m20", "m3", "m0", "m100", "m12", "m5", "m4"]
+        lines = ["\t".join(ids)] + ["\t".join(row[columns]) for row in base]
+        m = matrix_from("\n".join(lines))
+        kind = MeasureKind("yule_y")
+        pairs = []
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                v = evaluate(kind, counts_to_table(count_pair(m, i, j), 0.5))
+                pairs.append((-abs(v), ids[i], ids[j], v))
+        want = sorted(pairs)[:top_k]
+        assert len(pairs) == 66
+        results = scan(m, [kind], kind, top_k=top_k)
+        assert [(r.id_a, r.id_b, r.values[kind]) for r in results] == [w[1:] for w in want]
+
+    def test_other_measures_are_evaluated_on_the_top_k_only(self):
+        # m3 is 1 in one sample only, so (m1, m3) and (m2, m3) have a zero
+        # cell.  With a subnormal pseudocount Y fails there and D does not.
+        a = [k % 2 for k in range(40)]
+        b = [1 - v if k in (3, 10, 17, 24) else v for k, v in enumerate(a)]
+        c = [int(k == 1) for k in range(40)]
+        lines = ["m1\tm2\tm3"] + [f"{u}\t{v}\t{w}" for u, v, w in zip(a, b, c)]
+        m = matrix_from("\n".join(lines))
+        d, y = MeasureKind("d_raw"), MeasureKind("yule_y")
+        (top,) = scan(m, [d, y], d, top_k=1, pseudocount=1e-320)
+        assert (top.id_a, top.id_b) == ("m1", "m2")
+        assert top.values[y] == evaluate(y, counts_to_table(top.counts, 1e-320))
+        # Inside the top k, or as the ranking measure, Y still fails the scan.
+        with pytest.raises(FloatingPointError):
+            scan(m, [d, y], d, top_k=2, pseudocount=1e-320)
+        with pytest.raises(FloatingPointError):
+            scan(m, [d, y], y, top_k=1, pseudocount=1e-320)
 
     def test_values_equal_the_scalar_api_bit_for_bit(self):
         # Ranking ties are exact ties of these values, so the bulk kernels must
