@@ -9,9 +9,11 @@ data behind contour/heatmap plots.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 # eval_in_coords, evaluate and psi are the one-point forms of what grid_rows
 # computes a row at a time; perfbench/tracing.py wraps them here.
@@ -19,6 +21,9 @@ from .measures import MeasureKind, eval_in_coords, evaluate
 from .tables import psi, psi_cells
 
 __all__ = ["GridSpec", "grid_axis", "grid_rows", "emit_grid"]
+
+_ONE_DIGIT_NEGATIVE_EXPONENT = re.compile(rb"e-(\d)\b")
+_POSITIVE_EXPONENT = re.compile(rb"e(\d)")
 
 
 @dataclass(frozen=True)
@@ -68,16 +73,39 @@ def grid_rows(spec):
 def emit_grid(spec, sink):
     """Write the grid as CSV bytes (y-major) to a binary sink; return row count.
 
-    Values use shortest round-trip decimal formatting, so output is
-    byte-for-byte reproducible for a given spec.
+    Every field is the shortest round-trip decimal of its float, spelled as
+    ``repr`` spells it, so output is byte-for-byte reproducible for a given
+    spec.  One ``repr`` per value would take most of the run, so the values
+    of a row are formatted by one ``orjson.dumps`` call, whose Ryu formatter
+    writes the same digits.  Two fix-ups give ``repr``'s spelling: the
+    exponents ``e-7`` and ``e16`` become ``e-07`` and ``e+16``, and the
+    values orjson spells another way keep ``repr``: 1e-5 <= |v| < 1e-4,
+    written positionally (``0.00001``), and non-finite ones, written
+    ``null``.
     """
     axis = grid_axis(spec)
-    z_fields = [f"{zv!r}," for zv in axis]
+    count = len(axis)
+    # Each line is the four parts y, z, value and newline; z and the
+    # newlines are the same on every row.
+    line_parts = [b"\n"] * (4 * count)
+    line_parts[1::4] = [f"{z!r},".encode("ascii") for z in axis]
 
     sink.write(b"y,z,value\n")
     for y, values in grid_rows(spec):
-        values = np.broadcast_to(values, (len(axis),)).tolist()
-        y_field = f"{y!r},"
-        lines = [f"{y_field}{zf}{v!r}\n" for zf, v in zip(z_fields, values)]
-        sink.write("".join(lines).encode("ascii"))
-    return len(axis) ** 2
+        line_parts[0::4] = [f"{y!r},".encode("ascii")] * count
+        line_parts[2::4] = _repr_fields(np.broadcast_to(values, (count,)))
+        sink.write(b"".join(line_parts))
+    return count**2
+
+
+def _repr_fields(values):
+    """``repr(float(v)).encode()`` of each v of a 1-d float array (see emit_grid)."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = _POSITIVE_EXPONENT.sub(rb"e+\1", _ONE_DIGIT_NEGATIVE_EXPONENT.sub(rb"e-0\1", text))
+    fields = text[1:-1].split(b",")
+    magnitude = np.abs(values)
+    keeps_repr = ~np.isfinite(values) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
+    for i in np.flatnonzero(keeps_repr).tolist():
+        fields[i] = repr(float(values[i])).encode("ascii")
+    return fields

@@ -81,15 +81,32 @@ def load_matrix(source):
     blank lines, spaces around tokens, a header that ``str.splitlines``
     would split, and every malformed input) goes to the line-by-line
     parser, which accepts the same matrices and reports the line and
-    column of the first error.
+    column of the first error.  A byte that is not UTF-8 is reported,
+    with its line and column, before any other error.
     """
     raw = source.read()
     if isinstance(raw, bytes):
         matrix = _parse_canonical(raw)
         if matrix is not None:
             return matrix
-        raw = raw.decode("utf-8")
+        raw = _decode(raw)
     return _parse_lines(raw)
+
+
+def _decode(raw):
+    """raw as UTF-8 text; a bad byte raises ParseError at its line and field."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode.  Split as _parse_lines splits
+        # its text, they give the bad byte's line and field; the "?" stands
+        # for the bad byte, so that a line break just before it counts.
+        lines = (raw[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            f"invalid UTF-8 byte {raw[exc.start]:#04x}",
+            len(lines),
+            lines[-1].count("\t") + 1,
+        ) from None
 
 
 def _parse_canonical(raw):

@@ -205,6 +205,13 @@ class TestScan:
         assert result.exit_code == 1
         assert "line 2, column 2" in result.output
 
+    def test_non_utf8_byte_reported(self, runner, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a\tb\n0\t1\n1\t\xff\n")
+        result = runner.invoke(main, ["scan", str(path), "--measure", "Y"])
+        assert result.exit_code == 1
+        assert "Error: line 3, column 2: invalid UTF-8 byte 0xff" in result.output
+
     def test_zero_pseudocount_exits_1(self, runner, tmp_path):
         path = tmp_path / "zero.tsv"
         path.write_text("a\tb\tc\n0\t0\t1\n1\t1\t0\n1\t1\t1\n")

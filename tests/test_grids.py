@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from twobytwo import (
@@ -16,7 +18,8 @@ from twobytwo import (
     evaluate,
     psi,
 )
-from twobytwo.grids import grid_axis
+from twobytwo import grids
+from twobytwo.grids import _repr_fields, grid_axis, grid_rows
 from twobytwo.measures import CLI_NAMES
 
 
@@ -123,3 +126,85 @@ class TestEmitGrid:
             else:
                 want = evaluate(kind, psi(c))
             assert abs(value - want) <= 1e-12, (y, z)
+
+
+def repr_oracle(spec):
+    """The grid CSV with every field formatted by repr, cell by cell."""
+    axis = grid_axis(spec)
+    lines = ["y,z,value"]
+    for y, values in grid_rows(spec):
+        values = np.broadcast_to(values, (len(axis),)).tolist()
+        lines += [f"{y!r},{z!r},{v!r}" for z, v in zip(axis, values)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def random_doubles(count, seed, exponents=(0, 2047)):
+    """count doubles of random bits with the biased exponent drawn from [lo, hi).
+
+    hi <= 2047 leaves out the exponent of inf and nan.
+    """
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    exponent = rng.integers(*exponents, size=count, dtype=np.uint64)
+    bits = (bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+    return bits.view(np.float64)
+
+
+EDGE_VALUES = [
+    0.0,
+    5e-324,
+    sys.float_info.min,
+    *(np.nextafter(v, to) for v in (1e-5, 1e-4) for to in (0.0, 1.0)),
+    1e-5,
+    1e-4,
+    np.nextafter(1e16, 0.0),
+    1e16,
+    2.0**53,
+    sys.float_info.max,
+    1e-07,
+    1e20,
+]
+
+
+class TestReprSpelling:
+    """_repr_fields spells every double as repr does."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            random_doubles(200_000, 1),
+            # |v| in [2**-80, 2**80): where repr switches between the
+            # positional and the exponent spelling.
+            random_doubles(200_000, 2, (1023 - 80, 1023 + 80)),
+            np.array(EDGE_VALUES + [-v for v in EDGE_VALUES]),
+            np.array([math.inf, -math.inf, math.nan]),
+        ],
+        ids=["random bits", "random bits, |v| near 1", "edge values", "non-finite"],
+    )
+    def test_fields_equal_repr(self, values):
+        assert _repr_fields(values) == [repr(v).encode("ascii") for v in values.tolist()]
+
+    @pytest.mark.parametrize("odds_ratio", [0.2, 12.9, 40.0, 1e20])
+    @pytest.mark.parametrize("name", list(CLI_NAMES))
+    def test_grid_bytes_equal_a_repr_per_cell_oracle(self, name, odds_ratio):
+        spec = GridSpec(MeasureKind.from_cli(name), odds_ratio, 6.0, 0.25)
+        assert render(spec)[1] == repr_oracle(spec)
+
+    def test_wide_grid_bytes_equal_a_repr_per_cell_oracle(self):
+        spec = GridSpec(MeasureKind("hs", 4.0), 12.9, 30.0, 0.5)
+        payload = render(spec)[1]
+        # Its values cross the band that orjson writes positionally and
+        # reach below 1e-100.
+        magnitudes = [abs(v) for v in parse(payload).values()]
+        assert any(1e-5 <= v < 1e-4 for v in magnitudes)
+        assert min(magnitudes) < 1e-100
+        assert payload == repr_oracle(spec)
+
+    def test_non_finite_values_are_written_as_repr(self, monkeypatch):
+        def rows(spec):
+            yield 0.5, np.array([math.inf, -math.inf, math.nan, -0.0])
+
+        monkeypatch.setattr(grids, "grid_rows", rows)
+        spec = GridSpec(MeasureKind("corr_r"), 5.0, 1.5, 1.0)
+        lines = render(spec)[1].decode("ascii").splitlines()
+        assert lines[1:] == ["0.5,-1.5,inf", "0.5,-0.5,-inf", "0.5,0.5,nan", "0.5,1.5,-0.0"]

@@ -20,7 +20,7 @@ from twobytwo import (
     yule_y,
 )
 from twobytwo.measures import CLI_NAMES
-from twobytwo.scanner import _parse_canonical, _parse_lines, render_results
+from twobytwo.scanner import _decode, _parse_canonical, _parse_lines, render_results
 
 
 def matrix_from(text):
@@ -84,19 +84,35 @@ class TestLoadMatrix:
         assert err.value.column == 2
         assert "'2'" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "raw,line,column",
+        [
+            (b"a\tb\n0\t1\n1\t\xff\n", 3, 2),
+            (b"a\xff\tb\n0\t1\n", 1, 1),
+            (b"a\tb\xff\n0\t1\n", 1, 2),
+            (b"a\tb\n0\t1\n\xff", 3, 1),
+            (b"a\tb\r\n0\t1\r\n1\t\xe2\x82\n", 3, 2),
+        ],
+    )
+    def test_non_utf8_byte_position(self, raw, line, column):
+        with pytest.raises(ParseError) as err:
+            load_matrix(io.BytesIO(raw))
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).startswith(f"line {line}, column {column}: invalid UTF-8 byte")
+
 
 def parse_outcome(parse):
     """The matrix a parser returns, or the error it raises, in comparable form."""
     try:
         m = parse()
-    except ValueError as exc:  # ParseError or UnicodeDecodeError
+    except ParseError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
     return m.marker_ids, m.data.dtype, m.data.shape, m.data.tolist()
 
 
 def assert_parsers_agree(raw):
     fast = parse_outcome(lambda: load_matrix(io.BytesIO(raw)))
-    loop = parse_outcome(lambda: _parse_lines(raw.decode("utf-8")))
+    loop = parse_outcome(lambda: _parse_lines(_decode(raw)))
     assert fast == loop
 
 
@@ -133,6 +149,7 @@ PARSER_CASES = {
     "two rows on one line": (b"a\tb\n0\t1\t1\t0\n", False),
     "non-utf-8 header": (b"a\xff\tb\n0\t1\n", False),
     "non-utf-8 row": (b"a\tb\n0\t\xff\n", False),
+    "non-utf-8 byte on line 3": (b"a\tb\n0\t1\n1\t\xff\n", False),
     "empty input": (b"", False),
     "one marker": (b"a\n0\n", False),
 }
