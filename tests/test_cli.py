@@ -110,6 +110,16 @@ class TestGrid:
         )
         assert result.exit_code == 2
 
+    def test_infinite_point_count_exits_2(self, runner):
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "r", "--odds-ratio", "2", "--half-width", "1e308",
+             "--step", "1e-10"],
+        )
+        assert result.exit_code == 2
+        assert "half_width=1e+308 and step=1e-10" in result.output
+        assert "Traceback" not in result.output
+
     def test_numeric_failure_exits_1(self, runner):
         # At |y| = |z| = 400 the table's off-diagonal product underflows to 0.
         result = runner.invoke(

@@ -19,8 +19,9 @@ from twobytwo import (
     psi,
 )
 from twobytwo import grids
-from twobytwo.grids import _repr_fields, grid_axis, grid_rows
+from twobytwo.grids import _repr_fields, _rows_per_block, grid_axis, grid_rows
 from twobytwo.measures import CLI_NAMES
+from twobytwo.tables import psi_cells
 
 
 def render(spec):
@@ -55,6 +56,7 @@ class TestGridSpec:
             (5.0, 2.0, 0.0),
             (5.0, 2.0, -0.1),
             (5.0, 2.0, 5.0),
+            (5.0, 1e308, 1e-10),
         ],
     )
     def test_invalid(self, odds_ratio, half_width, step):
@@ -128,6 +130,49 @@ class TestEmitGrid:
             assert abs(value - want) <= 1e-12, (y, z)
 
 
+def per_row_rows(spec):
+    """(y, values) of each row from one kernel call per row."""
+    x = 0.5 * math.log(spec.odds_ratio)
+    axis = grid_axis(spec)
+    z = np.array(axis)
+    kind = spec.measure
+    for y in axis:
+        if kind.measure.coords is not None:
+            yield y, kind.on_coords(x, y, z)
+        else:
+            yield y, kind.on_cells(*psi_cells(x, y, z))
+
+
+class TestBlocks:
+    """Evaluating a block of rows per kernel call changes no bit."""
+
+    @pytest.fixture(params=["partial last block", "one row per block"])
+    def shape(self, request, monkeypatch):
+        """(half_width, step) of a grid, and the row count of each of its blocks."""
+        if request.param == "one row per block":
+            # Rows of 21 cells against a budget of 16 cells.
+            monkeypatch.setattr(grids, "_BLOCK_CELLS", 16)
+            return 1.0, 0.1, [1] * 21
+        # 121 rows in blocks of 33: the last block holds 22.
+        return 3.0, 0.05, [33, 33, 33, 22]
+
+    @pytest.mark.parametrize("odds_ratio", [0.2, 40.0])
+    @pytest.mark.parametrize("name", list(CLI_NAMES))
+    def test_rows_equal_a_kernel_call_per_row(self, name, odds_ratio, shape):
+        half_width, step, blocks = shape
+        spec = GridSpec(MeasureKind.from_cli(name), odds_ratio, half_width, step)
+        count = len(grid_axis(spec))
+        assert count == sum(blocks) and _rows_per_block(count) == blocks[0]
+        got = list(grid_rows(spec))
+        want = list(per_row_rows(spec))
+        assert [y for y, _ in got] == [y for y, _ in want]
+        for (y, values), (_, expected) in zip(got, want):
+            expected = np.broadcast_to(expected, (count,))
+            np.testing.assert_array_equal(values, expected, err_msg=f"y = {y!r}")
+            assert np.array_equal(np.signbit(values), np.signbit(expected)), y
+        assert render(spec)[1] == repr_oracle(spec)
+
+
 def repr_oracle(spec):
     """The grid CSV with every field formatted by repr, cell by cell."""
     axis = grid_axis(spec)
@@ -154,7 +199,9 @@ EDGE_VALUES = [
     0.0,
     5e-324,
     sys.float_info.min,
-    *(np.nextafter(v, to) for v in (1e-5, 1e-4) for to in (0.0, 1.0)),
+    *(np.nextafter(v, to) for v in (1e-10, 1e-9, 1e-5, 1e-4) for to in (0.0, 1.0)),
+    1e-10,
+    1e-9,
     1e-5,
     1e-4,
     np.nextafter(1e16, 0.0),
