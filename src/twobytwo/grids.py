@@ -4,6 +4,9 @@ A margin weighting function is an association measure restricted to a
 plane of constant odds-ratio, viewed as a function of the margin
 coordinates (y, z).  The emitted CSV (header ``y,z,value``) is the raw
 data behind contour/heatmap plots.
+
+Each value is the measure's one kernel on the cells and logs that
+``tables.psi_cells`` gives at its point: ``eval_in_coords`` there.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import orjson
 # eval_in_coords, evaluate and psi are the one-point forms of what grid_rows
 # computes a block of rows at a time; perfbench/tracing.py wraps them here.
 from .measures import MeasureKind, eval_in_coords, evaluate
-from .tables import psi, psi_cells
+from .tables import psi
 
 __all__ = ["GridSpec", "grid_axis", "grid_rows", "emit_grid"]
 
@@ -26,6 +29,9 @@ __all__ = ["GridSpec", "grid_axis", "grid_rows", "emit_grid"]
 # block of this many cells (at least one row).  Twice as many saved a few
 # percent of grid time but raised peak memory by about 2 MB more.
 _BLOCK_CELLS = 4096
+
+# Most points on one grid axis: the largest length numpy can index.
+_MAX_POINTS = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,11 @@ class GridSpec:
             raise ValueError(
                 f"step must be in (0, 2*half_width], got {self.step!r}"
             )
-        if not math.isfinite(2.0 * self.half_width / self.step):
+        # grid_axis builds a list of this many floats per axis.
+        if not 2.0 * self.half_width / self.step + 1.0 <= _MAX_POINTS:
             raise ValueError(
-                f"point count 2*half_width/step must be finite, got"
-                f" half_width={self.half_width!r} and step={self.step!r}"
+                f"point count 2*half_width/step + 1 must be at most {_MAX_POINTS},"
+                f" got half_width={self.half_width!r} and step={self.step!r}"
             )
 
 
@@ -64,9 +71,8 @@ def grid_rows(spec):
 
     The kernel runs once per block of rows, about _BLOCK_CELLS cells, on the
     block's y values as a column against the z row; values is a row of its
-    result, broadcast to the z axis.  Measures with a closed
-    margin-coordinate form use it; the others are evaluated on the table.
-    A kernel that fails raises before the first row of its block.
+    result, broadcast to the z axis.  A kernel that fails raises before the
+    first row of its block.
     """
     x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
@@ -75,11 +81,7 @@ def grid_rows(spec):
     rows_per_block = _rows_per_block(len(axis))
     for start in range(0, len(axis), rows_per_block):
         ys = axis[start : start + rows_per_block]
-        y = np.array(ys)[:, np.newaxis]
-        if kind.measure.coords is not None:
-            block = kind.on_coords(x, y, z)
-        else:
-            block = kind.on_cells(*psi_cells(x, y, z))
+        block = kind.on_coords(x, np.array(ys)[:, np.newaxis], z)
         yield from zip(ys, np.broadcast_to(block, (len(ys), len(axis))))
 
 

@@ -1,11 +1,15 @@
 """Association measures on 2x2 probability tables.
 
-``MEASURES`` is the one list of measures.  Each record holds a numpy kernel
-for the direct form, on cell arrays (p00, p01, p10, p11), and where a closed
-form exists a kernel on margin coordinates (x, y, z) and the limit along one
-margin axis.  The two kernels broadcast over arrays; ``evaluate``,
-``eval_in_coords`` and the named functions from ``odds_ratio`` to ``hs`` wrap
-them for one table and return a float, as ``margin_limit`` does the limits.
+``MEASURES`` is the one list of measures.  Each record holds the one formula
+of its measure, a numpy kernel of the four normalised cells ``p`` and their
+exact natural logs ``l`` (``p`` may be rounded to a subnormal, ``l`` is
+not): lambda, Q, Y, D, D', r, kappa and Hdiag read ``l`` only, H, MI and
+sMI weight by ``p`` and take their logs from ``l``, and HS joins Y, Hdiag
+and H.  The kernels broadcast over arrays.  ``evaluate`` runs one on a
+ProbTable, ``eval_in_coords`` (and the grids) on ``tables.psi_cells`` at
+margin coordinates, the scanner on counts, so a measure gives one number
+however its table arrives; ``margin_limit`` gives the closed-form limits
+along one margin axis.
 
 Conventions: mutual information, entropy and the HS exponent use base-2
 logarithms; the coordinates themselves are natural-log scale.
@@ -20,11 +24,12 @@ from functools import partial
 
 import numpy as np
 
+from .tables import psi_cells
+
 __all__ = [
     "Measure",
     "MEASURES",
     "MeasureKind",
-    "UndefinedKappa",
     "UnsupportedKind",
     "CLI_NAMES",
     "odds_ratio",
@@ -53,90 +58,92 @@ DEFAULT_HS_N = 4.0
 _strict = np.errstate(divide="raise", over="raise", invalid="raise")
 
 
-class UndefinedKappa(ArithmeticError):
-    """Cohen's kappa is undefined: chance agreement equals 1."""
-
-
 class UnsupportedKind(ValueError):
-    """The requested measure has no formula of the requested kind."""
+    """An unknown measure name, or a measure with no closed-form axis limit."""
 
 
-# --- direct forms: kernels of (p00, p01, p10, p11, n) ----------------------
+# --- kernels of (p, l, n): the cells, their logs and the HS exponent --------
 
 
-def _margins(p00, p01, p10, p11):
-    """(row0, row1, col0, col1)."""
-    return p00 + p01, p10 + p11, p00 + p10, p01 + p11
+def _half_log_odds(l):
+    """x = ln sqrt(odds-ratio) = ((l00 + l11) - (l01 + l10)) / 2."""
+    l00, l01, l10, l11 = l
+    return 0.5 * ((l00 + l11) - (l01 + l10))
 
 
-def _plogp(*ps):
-    """Sum of p * log2(p), left to right."""
-    return sum(p * np.log2(p) for p in ps)
+def _logaddexp(a, b):
+    """log(e^a + e^b); the max is exact, so a log margin of -3e-300 survives."""
+    return np.maximum(a, b) + np.log1p(np.exp(-abs(a - b)))
 
 
-def _odds_ratio(p00, p01, p10, p11, n):
-    return (p00 * p11) / (p01 * p10)
+def _log_margins(l):
+    """Logs of (row0, row1, col0, col1)."""
+    l = np.asarray(l)
+    return (*_logaddexp(l[0::2], l[1::2]), *_logaddexp(l[:2], l[2:]))
 
 
-def _yule_q(p00, p01, p10, p11, n):
-    lam = _odds_ratio(p00, p01, p10, p11, n)
-    return (lam - 1.0) / (lam + 1.0)
+def _log_e2x_minus_1(x):
+    """log |e^{2x} - 1| for x != 0; 0 at x = 0, where callers scale by sign(x)."""
+    a = abs(x)
+    return a + x + np.log((a == 0.0) - np.expm1(-2.0 * a))
 
 
-def _yule_y(p00, p01, p10, p11, n):
-    root = np.sqrt(_odds_ratio(p00, p01, p10, p11, n))
-    return (root - 1.0) / (root + 1.0)
+def _det_over(l, log_den):
+    """The determinant p00 p11 - p01 p10 = p01 p10 (e^{2x} - 1) over e^log_den."""
+    x = _half_log_odds(l)
+    return np.sign(x) * np.exp(l[1] + l[2] + _log_e2x_minus_1(x) - log_den)
 
 
-def _det(p00, p01, p10, p11, n):
-    return p00 * p11 - p01 * p10
-
-
-def _d_prime(p00, p01, p10, p11, n):
-    d = _det(p00, p01, p10, p11, n)
-    row0, row1, col0, col1 = _margins(p00, p01, p10, p11)
-    d_max = np.where(
-        d >= 0.0,
-        np.minimum(row0 * col1, col0 * row1),
-        np.minimum(row0 * col0, row1 * col1),
+def _d_prime(p, l, n):
+    row0, row1, col0, col1 = _log_margins(l)
+    log_d_max = np.where(
+        _half_log_odds(l) >= 0.0,
+        np.minimum(row0 + col1, col0 + row1),
+        np.minimum(row0 + col0, row1 + col1),
     )
-    return d / d_max
+    return _det_over(l, log_d_max)
 
 
-def _corr_r(p00, p01, p10, p11, n):
-    row0, row1, col0, col1 = _margins(p00, p01, p10, p11)
-    return _det(p00, p01, p10, p11, n) / np.sqrt(row0 * col0 * row1 * col1)
+def _corr_r(p, l, n):
+    return _det_over(l, 0.5 * sum(_log_margins(l)))
 
 
-def _mut_inf(p00, p01, p10, p11, n):
-    row0, row1, col0, col1 = _margins(p00, p01, p10, p11)
-    return _plogp(p00, p01, p10, p11) - _plogp(row0, row1) - _plogp(col0, col1)
+def _kappa(p, l, n):
+    # (p00 + p11 - chance) / (1 - chance) = 2D / (row0 col1 + row1 col0).
+    row0, row1, col0, col1 = _log_margins(l)
+    return _det_over(l, _logaddexp(row0 + col1, row1 + col0) - _LN2)
 
 
-def _s_mut_inf(p00, p01, p10, p11, n):
-    return np.sign(_det(p00, p01, p10, p11, n)) * np.abs(_mut_inf(p00, p01, p10, p11, n))
+def _sum_p_log_p(p, l):
+    """Sum of p * l as (t0 + t3) + (t1 + t2): the table symmetries keep every bit."""
+    t0, t1, t2, t3 = (pi * li for pi, li in zip(p, l))
+    return (t0 + t3) + (t1 + t2)
 
 
-def _kappa(p00, p01, p10, p11, n):
-    row0, row1, col0, col1 = _margins(p00, p01, p10, p11)
-    chance = row0 * col0 + row1 * col1
-    if np.any(chance == 1.0):
-        raise UndefinedKappa("chance agreement equals 1")
-    return (p00 + p11 - chance) / (1.0 - chance)
+def _entropy(p, l, n):
+    return -_sum_p_log_p(p, l) / _LN2
 
 
-def _entropy(p00, p01, p10, p11, n):
-    return -_plogp(p00, p01, p10, p11)
+def _mut_inf(p, l, n):
+    p00, p01, p10, p11 = p
+    margins = (p00 + p01, p10 + p11, p00 + p10, p01 + p11)
+    return (_sum_p_log_p(p, l) - _sum_p_log_p(margins, _log_margins(l))) / _LN2
 
 
-def _entropy_diag(p00, p01, p10, p11, n):
-    return _entropy_diag_x(0.5 * np.log(_odds_ratio(p00, p01, p10, p11, n)))
+def _s_mut_inf(p, l, n):
+    return np.sign(_half_log_odds(l)) * np.abs(_mut_inf(p, l, n))
 
 
-def _hs(p00, p01, p10, p11, n):
-    y = _yule_y(p00, p01, p10, p11, n)
-    h_gap = _entropy_diag(p00, p01, p10, p11, n) - _entropy(p00, p01, p10, p11, n)
-    return _weighted_y(y, n, h_gap)
+def _hs(p, l, n):
+    x = _half_log_odds(l)
+    return _weighted_y(_tanh_half_x(x), n, _entropy_diag_x(x) - _entropy(p, l, n))
+
+
+def _entropy_diag_x(x):
+    """Entropy of the diagonal table at x, in t = e^-|x| so that no term cancels."""
+    a = abs(x)
+    t = np.exp(-a)
+    return 1.0 + (np.log1p(t) + a * t / (1.0 + t)) / _LN2
 
 
 def _weighted_y(y, n, h_gap):
@@ -144,57 +151,9 @@ def _weighted_y(y, n, h_gap):
     return np.sign(y) * np.power(np.abs(y), np.exp(n * h_gap))
 
 
-# --- margin-coordinate forms: kernels of (x, y, z, n) ----------------------
-
-
-def _log_e2x_minus_1(x):
-    """log |e^{2x} - 1| for x != 0; 0 at x = 0, where callers scale by sign(x)."""
-    a = np.abs(x)
-    return a + x + np.log1p((a == 0.0) - np.exp(-2.0 * a))
-
-
-def _log_margins(x, y, z):
-    """Logs of (row0, col0, col1, row1) of the table (e^{x+y+z}, e^y; e^z, e^x)."""
-    s = x + y + z
-    return np.logaddexp(s, y), np.logaddexp(s, z), np.logaddexp(x, y), np.logaddexp(x, z)
-
-
 def _tanh_half_x(x, *_):
     """Yule's Y at x, and its limit along every margin axis."""
     return np.tanh(0.5 * x)
-
-
-def _coord_r(x, y, z, n):
-    log_den = 0.5 * sum(_log_margins(x, y, z))
-    return np.sign(x) * np.exp(_log_e2x_minus_1(x) + y + z - log_den)
-
-
-def _coord_d_prime(x, y, z, n):
-    row0, col0, col1, row1 = _log_margins(x, y, z)
-    log_dmax = np.where(
-        x > 0,
-        np.where(y < z, row0 + col1, col0 + row1),
-        np.where(y < -z, row0 + col0, col1 + row1),
-    )
-    return np.sign(x) * np.exp(_log_e2x_minus_1(x) + y + z - log_dmax)
-
-
-def _coord_entropy(x, y, z, n):
-    exps = (x + y + z, y, z, x)
-    m = np.maximum(np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3]))
-    weights = [np.exp(e - m) for e in exps]
-    total = sum(weights)
-    weighted = sum(e * w for e, w in zip(exps, weights))
-    return (m + np.log(total)) / _LN2 - weighted / (_LN2 * total)
-
-
-def _entropy_diag_x(x, *_):
-    return 1.0 + np.logaddexp(0.0, x) / _LN2 - x / (_LN2 * (np.exp(-x) + 1.0))
-
-
-def _coord_hs(x, y, z, n):
-    h_gap = _entropy_diag_x(x) - _coord_entropy(x, y, z, n)
-    return _weighted_y(_tanh_half_x(x), n, h_gap)
 
 
 # --- limits along one margin axis: functions of (x, s, other, n) -----------
@@ -216,7 +175,8 @@ def _d_prime_limit(x, s, other, n):
 def _hs_limit(x, s, other, n):
     # The limit table keeps a single binary split with success probability p.
     p = 1.0 / (1.0 + np.exp(x + s * other))
-    h_split = -_plogp(p, 1.0 - p) if 0.0 < p < 1.0 else 0.0
+    q = 1.0 - p
+    h_split = -(p * np.log2(p) + q * np.log2(q)) if 0.0 < p < 1.0 else 0.0
     return _weighted_y(_tanh_half_x(x), n, _entropy_diag_x(x) - h_split)
 
 
@@ -227,18 +187,17 @@ def _hs_limit(x, s, other, n):
 class Measure:
     """One association measure: its names and its formulas.
 
-    ``cells(p00, p01, p10, p11, n)`` is the direct form and
-    ``coords(x, y, z, n)`` the closed margin-coordinate form, if any; both
-    broadcast over arrays.  ``limit(x, s, other, n)`` is the closed-form
-    limit as one margin coordinate goes to s * infinity (s = +-1) with the
-    other held.  ``n`` is the HS exponent; only measures with ``uses_n``
-    read it.
+    ``cells(p, l, n)`` is the one formula of the measure: ``p`` is the four
+    normalised cells (p00, p01, p10, p11) and ``l`` their exact natural
+    logs, each four arrays (or floats) that broadcast together.
+    ``limit(x, s, other, n)`` is the closed-form limit as one margin
+    coordinate goes to s * infinity (s = +-1) with the other held.  ``n``
+    is the HS exponent; only measures with ``uses_n`` read it.
     """
 
     tag: str
     cli_name: str
     cells: Callable
-    coords: Callable | None = None
     limit: Callable | None = None
     uses_n: bool = False
 
@@ -246,18 +205,18 @@ class Measure:
 MEASURES = {
     m.tag: m
     for m in (
-        Measure("odds_ratio", "lambda", _odds_ratio),
-        Measure("yule_q", "Q", _yule_q),
-        Measure("yule_y", "Y", _yule_y, _tanh_half_x, _tanh_half_x),
-        Measure("d_raw", "D", _det),
-        Measure("d_prime", "Dprime", _d_prime, _coord_d_prime, _d_prime_limit),
-        Measure("corr_r", "r", _corr_r, _coord_r, _zero_limit),
+        Measure("odds_ratio", "lambda", lambda p, l, n: np.exp(2.0 * _half_log_odds(l))),
+        Measure("yule_q", "Q", lambda p, l, n: np.tanh(_half_log_odds(l))),
+        Measure("yule_y", "Y", lambda p, l, n: _tanh_half_x(_half_log_odds(l)), _tanh_half_x),
+        Measure("d_raw", "D", lambda p, l, n: _det_over(l, 0.0)),
+        Measure("d_prime", "Dprime", _d_prime, _d_prime_limit),
+        Measure("corr_r", "r", _corr_r, _zero_limit),
         Measure("mut_inf", "MI", _mut_inf),
-        Measure("s_mut_inf", "sMI", _s_mut_inf, limit=_zero_limit),
+        Measure("s_mut_inf", "sMI", _s_mut_inf, _zero_limit),
         Measure("kappa", "kappa", _kappa),
-        Measure("entropy", "H", _entropy, _coord_entropy),
-        Measure("entropy_diag", "Hdiag", _entropy_diag, _entropy_diag_x),
-        Measure("hs", "HS", _hs, _coord_hs, _hs_limit, uses_n=True),
+        Measure("entropy", "H", _entropy),
+        Measure("entropy_diag", "Hdiag", lambda p, l, n: _entropy_diag_x(_half_log_odds(l))),
+        Measure("hs", "HS", _hs, _hs_limit, uses_n=True),
     )
 }
 
@@ -297,34 +256,26 @@ class MeasureKind:
         return self.measure.cli_name
 
     @_strict
-    def on_cells(self, p00, p01, p10, p11):
-        """The direct form on cell arrays, broadcast."""
-        return self.measure.cells(p00, p01, p10, p11, self.n)
+    def on_cells(self, p, l):
+        """The kernel on cells p and their logs l, each four arrays, broadcast."""
+        return self.measure.cells(p, l, self.n)
 
     @_strict
     def on_coords(self, x, y, z):
-        """The closed margin-coordinate form on coordinate arrays, broadcast."""
-        coords = self.measure.coords
-        if coords is None:
-            raise UnsupportedKind(f"{self.tag} has no margin-coordinate form")
-        return coords(x, y, z, self.n)
+        """The kernel on the table at margin coordinate arrays, broadcast."""
+        return self.measure.cells(*psi_cells(x, y, z), self.n)
 
 
 def evaluate(kind, t):
-    """Evaluate a MeasureKind on a table (direct form).
-
-    The formula is the ``cells`` kernel of the measure's record in
-    ``MEASURES``, the one place that lists the measures.
-    """
-    return float(kind.on_cells(*t.cells))
+    """Evaluate a MeasureKind on a table: its kernel on the cells and logs."""
+    return float(kind.on_cells(t.cells, t.logs))
 
 
 def eval_in_coords(kind, c):
-    """Evaluate a measure at margin coordinates using its closed form.
+    """Evaluate a MeasureKind at margin coordinates.
 
-    The formula is the ``coords`` kernel of the measure's record in
-    ``MEASURES``, the one place that lists the measures.  Measures without
-    one raise UnsupportedKind; evaluate them on psi(c).
+    The same kernel as ``evaluate``, on the cells and logs ``psi_cells``
+    gives at c, without building the table.
     """
     return float(kind.on_coords(c.x, c.y, c.z))
 

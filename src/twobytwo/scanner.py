@@ -14,7 +14,7 @@ import numpy as np
 
 # evaluate is not called here; perfbench/tracing.py wraps scanner.evaluate.
 from .measures import MeasureKind, evaluate
-from .tables import DegenerateTable, ProbTable
+from .tables import DegenerateTable, ProbTable, log_cells
 
 __all__ = [
     "ParseError",
@@ -231,20 +231,22 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     ones_seen = ones.T @ seen
     n10 = ones_seen[ia, ib] - n11
     n01 = ones_seen[ib, ia] - n11
-    counts = np.stack([n - n11 - n10 - n01, n01, n10, n11], axis=1)
+    counts = np.stack([n - n11 - n10 - n01, n01, n10, n11])
     cells = np.add(counts, pseudocount, dtype=np.float64)
 
     # counts_to_table decides which pairs have a table: check the first pair,
     # where a bad pseudocount fails, and the first pair with a zero cell.
-    first_zero_cell = np.flatnonzero(cells.ravel() <= 0.0)[:1]
-    for k in [0] + (first_zero_cell // 4).tolist():
+    first_zero_cell = np.flatnonzero((cells <= 0.0).any(axis=0))[:1]
+    for k in [0] + first_zero_cell.tolist():
         try:
-            counts_to_table(tuple(int(c) for c in counts[k]), pseudocount)
+            counts_to_table(tuple(int(c) for c in counts[:, k]), pseudocount)
         except DegenerateTable as exc:
             raise DegenerateTable(f"pair ({ids[ia[k]]}, {ids[ib[k]]}): {exc}") from exc
 
-    total = cells.sum(axis=1)
-    rank_values = rank_by.on_cells(*(cells.T / total))
+    # The cells and logs that ProbTable gives each pair's table.
+    probs = cells / cells.sum(axis=0)
+    logs = log_cells(cells)
+    rank_values = rank_by.on_cells(probs, logs)
     key = -np.abs(rank_values)
     candidates = np.arange(key.size)
     if top_k < key.size:
@@ -253,13 +255,13 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     a, b = id_rank[ia[candidates]], id_rank[ib[candidates]]
     top = candidates[np.lexsort((b, a, key[candidates]))[:top_k]]
 
-    top_probs = cells[top].T / total[top]
+    top_probs, top_logs = probs[:, top], logs[:, top]
     values = {
-        kind: rank_values[top] if kind == rank_by else kind.on_cells(*top_probs)
+        kind: rank_values[top] if kind == rank_by else kind.on_cells(top_probs, top_logs)
         for kind in measures
     }
     results = []
-    for k, c in enumerate(counts[top].astype(np.int64).tolist()):
+    for k, c in enumerate(counts[:, top].T.astype(np.int64).tolist()):
         values_k = {kind: float(v[k]) for kind, v in values.items()}
         pair = top[k]
         results.append(PairResult(ids[ia[pair]], ids[ib[pair]], tuple(c), sum(c), values_k))

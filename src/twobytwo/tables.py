@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "theta",
     "psi",
     "psi_cells",
+    "log_cells",
     "symmetry_apply",
     "ray_limit",
 ]
@@ -59,13 +60,17 @@ class ProbTable:
 
     Raw positive weights are accepted (e.g. counts plus pseudocounts); the
     constructor divides by their sum, so entries are proportional to the
-    inputs and sum to 1.
+    inputs and sum to 1.  ``logs`` holds the natural logs of the normalised
+    cells, exact where a cell rounds to 1 or to a subnormal: ``log_cells``
+    of the weights, unless given (``psi`` gives the logs of its exponents).
+    The measures and ``theta`` read them.
     """
 
     p00: float
     p01: float
     p10: float
     p11: float
+    logs: tuple = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         cells = [
@@ -77,6 +82,10 @@ class ProbTable:
             raise DegenerateTable(f"cells do not have a finite positive sum: {cells}")
         for name, value in zip(("p00", "p01", "p10", "p11"), cells):
             object.__setattr__(self, name, value / total)
+        if self.logs is None:
+            object.__setattr__(self, "logs", tuple(log_cells(np.array(cells)).tolist()))
+        else:
+            object.__setattr__(self, "logs", tuple(map(float, self.logs)))
 
     @property
     def cells(self):
@@ -156,41 +165,76 @@ def margin_transform(t, mu, nu):
 
 def theta(t):
     """Coordinates of a table: x = ln sqrt(odds-ratio), plus margin axes y, z."""
-    l00, l01, l10, l11 = (math.log(p) for p in t.cells)
+    l00, l01, l10, l11 = t.logs
     # y and z from mirrored-cell differences, so that transposition swaps
     # them and a diagonal-symmetric table has y = z = 0 exactly.
     return MarginCoords(
-        0.5 * (l00 + l11 - l01 - l10),
+        0.5 * ((l00 + l11) - (l01 + l10)),
         0.5 * ((l00 - l11) + (l01 - l10)),
         0.5 * ((l00 - l11) - (l01 - l10)),
     )
 
 
 def psi_cells(x, y, z):
-    """Cells of the table proportional to (e^{x+y+z}, e^y; e^z, e^x).
+    """Cells and logs of the table proportional to (e^{x+y+z}, e^y; e^z, e^x).
 
-    Broadcasts over coordinate arrays; ``psi`` is the one-point form.  The
-    maximal exponent is subtracted before exponentiation and dominated
-    weights are floored at exp(_EXP_FLOOR), so coordinates with |x|, |y|,
-    |z| <= 500 never overflow or produce a zero weight.  The exponents are
-    centred on (x + y + z) / 2 and written in u = y + z and w = y - z, so
-    that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps p00 with
+    Returns ``(cells, logs)``, two arrays of shape (4, ...); broadcasts over
+    coordinate arrays; ``psi`` is the one-point form.  The maximal exponent is
+    subtracted before exponentiation and dominated weights are floored at
+    exp(_EXP_FLOOR), so coordinates with |x|, |y|, |z| <= 500 never overflow
+    or produce a zero cell; the logs are the exponents normalised by
+    ``_log_total``, exact however small a cell.  The exponents are centred
+    on (x + y + z) / 2 and written in halves of x, u = y + z and w = y - z,
+    so that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps p00 with
     p11 and p01 with p10 exactly.
     """
-    u, w = y + z, y - z
-    exps = (0.5 * (x + u), 0.5 * (w - x), -0.5 * (x + w), 0.5 * (x - u))
-    m = np.maximum(np.maximum(exps[0], exps[1]), np.maximum(exps[2], exps[3]))
-    weights = [np.exp(np.maximum(e - m, _EXP_FLOOR)) for e in exps]
-    total = (weights[0] + weights[3]) + (weights[1] + weights[2])
-    return [weight / total for weight in weights]
+    hx, hy, hz = 0.5 * x, 0.5 * y, 0.5 * z
+    hu, hw = hy + hz, hy - hz
+    # In place: a new (4, ...) array per step doubled the time of a grid block.
+    logs = np.array([hx + hu, hw - hx, -hx - hw, hx - hu])
+    logs -= logs.max(axis=0)
+    cells = np.exp(np.maximum(logs, _EXP_FLOOR))
+    total = (cells[0] + cells[3]) + (cells[1] + cells[2])
+    logs -= _log_total(cells)
+    cells /= total
+    return cells, logs
+
+
+def log_cells(weights):
+    """Natural logs of weights / sum(weights) for a (4, ...) array of weights.
+
+    Taken relative to the largest weight (see _log_total), so that a cell
+    holding all but 3e-300 of the mass gets -3e-300, not log(1.0) = 0.
+    """
+    logs = np.log(weights)
+    logs -= logs.max(axis=0)
+    logs -= _log_total(weights / weights.max(axis=0))
+    return logs
+
+
+def _log_total(weights):
+    """log of the sum of a (4, ...) array of weights whose largest is exactly 1.
+
+    log1p of the other three, found by min and max in the pairs (w00, w11)
+    and (w01, w10), as they may sum to less than the rounding of 1.
+    """
+    pairs = weights[:2], weights[3:1:-1]
+    low, high = np.minimum(*pairs), np.maximum(*pairs)
+    return np.log1p((low[0] + low[1]) + np.minimum(high[0], high[1]))
 
 
 def psi(c):
-    """Inverse of theta: the table of psi_cells at c."""
-    return ProbTable(*psi_cells(c.x, c.y, c.z))
+    """Inverse of theta: the table of psi_cells at c, with its exact logs."""
+    cells, logs = psi_cells(c.x, c.y, c.z)
+    return ProbTable(*cells.tolist(), logs=logs.tolist())
 
 
-_SYMMETRY_OPS = ("transpose_markers", "swap_rows", "swap_cols")
+# The cell order of each symmetry; the logs move with the cells.
+_SYMMETRY_OPS = {
+    "transpose_markers": (0, 2, 1, 3),
+    "swap_rows": (2, 3, 0, 1),
+    "swap_cols": (1, 0, 3, 2),
+}
 
 
 def symmetry_apply(t, op):
@@ -199,13 +243,10 @@ def symmetry_apply(t, op):
     transpose_markers swaps p01/p10 (coordinates: y <-> z); swap_rows and
     swap_cols flip the sign of x together with y or z respectively.
     """
-    if op == "transpose_markers":
-        return ProbTable(t.p00, t.p10, t.p01, t.p11)
-    if op == "swap_rows":
-        return ProbTable(t.p10, t.p11, t.p00, t.p01)
-    if op == "swap_cols":
-        return ProbTable(t.p01, t.p00, t.p11, t.p10)
-    raise ValueError(f"op must be one of {_SYMMETRY_OPS}, got {op!r}")
+    if op in _SYMMETRY_OPS:
+        order = _SYMMETRY_OPS[op]
+        return ProbTable(*(t.cells[i] for i in order), logs=[t.logs[i] for i in order])
+    raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
 
 
 _CELL_NAMES = ("p00", "p01", "p10", "p11")

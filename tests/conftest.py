@@ -68,7 +68,7 @@ def max_roundtrip_error(count=10_000, seed=11, box=10.0):
     return worst
 
 
-CROSS_FORM_TAGS = tuple(tag for tag, m in MEASURES.items() if m.coords is not None)
+CROSS_FORM_TAGS = tuple(MEASURES)
 
 
 def max_cross_form_errors(count=10_000, seed=12):
@@ -173,11 +173,60 @@ def grid_extremum(tag, x, n=4.0, half_width=6.0, step=0.05):
     best = (-math.inf, 0.0, 0.0)
     for y in axis:
         for z in axis:
-            c = MarginCoords(x, y, z)
-            if tag == "s_mut_inf":
-                value = evaluate(kind, psi(c))
-            else:
-                value = eval_in_coords(kind, c)
+            value = eval_in_coords(kind, MarginCoords(x, y, z))
             if sgn * value > best[0]:
                 best = (sgn * value, y, z)
     return best[1], best[2], sgn * best[0]
+
+
+# --- mpmath oracle -------------------------------------------------------------
+
+
+def mp_measures(weights, n=4.0, dps=1000):
+    """Every measure of the table proportional to weights, as mpmath numbers.
+
+    weights are four mpmath numbers (or floats, taken exactly); the formulas
+    are the textbook ones, evaluated at dps digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        w = [mp.mpf(v) for v in weights]
+        p00, p01, p10, p11 = p = [v / mp.fsum(w) for v in w]
+        row0, row1, col0, col1 = p00 + p01, p10 + p11, p00 + p10, p01 + p11
+        lam = p00 * p11 / (p01 * p10)
+        root = mp.sqrt(lam)
+        det = p00 * p11 - p01 * p10
+        d_max = min(row0 * col1, col0 * row1) if det >= 0 else min(row0 * col0, row1 * col1)
+        chance = row0 * col0 + row1 * col1
+        mi = mp.fsum(
+            pi * mp.log(pi / (r * c), 2)
+            for pi, r, c in zip(p, (row0, row0, row1, row1), (col0, col1, col0, col1))
+        )
+        h = -mp.fsum(pi * mp.log(pi, 2) for pi in p)
+        diag = [root, 1, 1, root]
+        h_diag = -mp.fsum(d / mp.fsum(diag) * mp.log(d / mp.fsum(diag), 2) for d in diag)
+        y = (root - 1) / (root + 1)
+        return {
+            "odds_ratio": lam,
+            "yule_q": (lam - 1) / (lam + 1),
+            "yule_y": y,
+            "d_raw": det,
+            "d_prime": det / d_max,
+            "corr_r": det / mp.sqrt(row0 * row1 * col0 * col1),
+            "mut_inf": mi,
+            "s_mut_inf": mp.sign(det) * abs(mi),
+            "kappa": (p00 + p11 - chance) / (1 - chance),
+            "entropy": h,
+            "entropy_diag": h_diag,
+            "hs": mp.sign(y) * abs(y) ** mp.exp(n * (h_diag - h)),
+        }
+
+
+def mp_psi_weights(c, dps=1000):
+    """The weights (e^{x+y+z}, e^y, e^z, e^x) of psi(c) in mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x, y, z = (mp.mpf(v) for v in (c.x, c.y, c.z))
+        return [mp.exp(x + y + z), mp.exp(y), mp.exp(z), mp.exp(x)]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from twobytwo.cli import main, table1_rows
+from twobytwo.measures import MEASURES
+from conftest import mp_measures
 
 
 @pytest.fixture
@@ -120,17 +124,36 @@ class TestGrid:
         assert "half_width=1e+308 and step=1e-10" in result.output
         assert "Traceback" not in result.output
 
-    def test_numeric_failure_exits_1(self, runner):
-        # At |y| = |z| = 400 the table's off-diagonal product underflows to 0.
+    def test_point_count_above_intp_max_exits_2(self, runner):
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "r", "--odds-ratio", "2", "--half-width", "1e300",
+             "--step", "1"],
+        )
+        assert result.exit_code == 2
+        assert "half_width=1e+300 and step=1.0" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.fixture
+    def failing_lambda(self, monkeypatch):
+        """lambda's kernel overflows on every cell."""
+        def overflow(p, l, n):
+            return np.exp(np.full(np.shape(l[0]), 1000.0))
+
+        monkeypatch.setitem(
+            MEASURES, "odds_ratio", dataclasses.replace(MEASURES["odds_ratio"], cells=overflow)
+        )
+
+    def test_numeric_failure_exits_1(self, runner, failing_lambda):
         result = runner.invoke(
             main,
             ["grid", "--measure", "lambda", "--odds-ratio", "40", "--half-width", "400", "--step", "200"],
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "lambda: divide by zero" in result.output
+        assert result.output == "y,z,value\nError: lambda: overflow encountered in exp\n"
 
-    def test_numeric_failure_leaves_no_output_file(self, runner, tmp_path):
+    def test_numeric_failure_leaves_no_output_file(self, runner, tmp_path, failing_lambda):
         out = tmp_path / "grid.csv"
         result = runner.invoke(
             main,
@@ -138,8 +161,23 @@ class TestGrid:
              "--step", "200", "-o", str(out)],
         )
         assert result.exit_code == 1
-        assert "lambda: divide by zero" in result.output
+        assert "lambda: overflow encountered in exp" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_lambda_far_out_is_the_odds_ratio(self, runner, tmp_path, to_file):
+        # At |y| = |z| = 400 the off-diagonal cells reach e^-800; lambda is
+        # still the odds-ratio, 40 (mpmath: exp(2 * (ln 40) / 2) = 40).
+        out = tmp_path / "grid.csv"
+        args = ["grid", "--measure", "lambda", "--odds-ratio", "40", "--half-width", "400",
+                "--step", "200"]
+        result = runner.invoke(main, args + (["-o", str(out)] if to_file else []))
+        assert result.exit_code == 0
+        text = out.read_text() if to_file else result.output
+        lines = text.splitlines()
+        assert lines[0] == "y,z,value" and len(lines) == 26
+        for line in lines[1:]:
+            assert abs(float(line.split(",")[2]) - 40.0) <= 1e-10 * 40.0, line
 
 
 class TestCritical:
@@ -232,32 +270,54 @@ class TestScan:
         assert "Traceback" not in result.output
 
     def test_numeric_failure_exits_1(self, runner, tmp_path):
-        # Zero counts plus a subnormal pseudocount give cells whose products vanish.
+        # Zero counts plus a subnormal pseudocount: lambda of (a, b) is
+        # 1 * 2 / (1e-320)^2, past the largest double.
         path = tmp_path / "zero.tsv"
         path.write_text("a\tb\tc\n0\t0\t1\n1\t1\t0\n1\t1\t1\n")
         result = runner.invoke(
-            main, ["scan", str(path), "--measure", "Y", "--pseudocount", "1e-320"]
+            main, ["scan", str(path), "--measure", "lambda", "--pseudocount", "1e-320"]
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "divide by zero" in result.output
+        assert result.output == "Error: overflow encountered in exp\n"
+
+    def test_subnormal_pseudocount_values_match_mpmath(self, runner, tmp_path):
+        # Zero counts plus a subnormal pseudocount give subnormal cells; Y and
+        # r are finite and printed as mpmath rounds them.
+        path = tmp_path / "zero.tsv"
+        path.write_text("a\tb\tc\n0\t0\t1\n1\t1\t0\n1\t1\t1\n")
+        result = runner.invoke(
+            main,
+            ["scan", str(path), "--measure", "Y", "--measure", "r", "--pseudocount", "1e-320"],
+        )
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[0] == "id_a,id_b,n,n00,n01,n10,n11,Y,r"
+        assert len(lines) == 4
+        for line in lines[1:]:
+            fields = line.split(",")
+            counts = [int(c) for c in fields[3:7]]
+            want = mp_measures([mpmath.mpf(c) + mpmath.mpf(1e-320) for c in counts])
+            for got, tag in zip(fields[7:], ("yule_y", "corr_r")):
+                assert got == f"{float(want[tag]):.6f}", (line, tag)
 
     def test_measure_failing_only_outside_the_top_pairs(self, runner, tmp_path):
-        # (a, b) has no zero cell; (a, c) and (b, c) have one, where Y
-        # overflows with a subnormal pseudocount and D does not.
+        # (a, b) has no zero cell; (a, c) and (b, c) have one, in lambda's
+        # denominator, where lambda truly overflows with a subnormal
+        # pseudocount and D does not.
         a = [k % 2 for k in range(40)]
         b = [1 - v if k in (3, 10, 17, 24) else v for k, v in enumerate(a)]
         c = [int(k == 1) for k in range(40)]
         path = tmp_path / "rare.tsv"
         path.write_text("a\tb\tc\n" + "".join(f"{u}\t{v}\t{w}\n" for u, v, w in zip(a, b, c)))
-        args = ["scan", str(path), "--measure", "D", "--measure", "Y", "--pseudocount", "1e-320"]
+        args = ["scan", str(path), "--measure", "D", "--measure", "lambda", "--pseudocount", "1e-320"]
         result = runner.invoke(main, args + ["--top", "1"])
         assert result.exit_code == 0
         assert result.output.splitlines()[1].startswith("a,b,40,")
         result = runner.invoke(main, args + ["--top", "2"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output == "Error: overflow encountered in divide\n"
+        assert result.output == "Error: overflow encountered in exp\n"
 
     def test_bad_hs_exponent_exits_2(self, runner, tmp_path):
         path = self.make_input(tmp_path)

@@ -304,9 +304,11 @@ class TestEntropyGridOracle:
         assert (y, z) == (0.0, 0.0)
 
     def test_symmetric_pair_above_magic(self):
+        # The two maxima are transposes of one another with the same entropy
+        # to the last bit; the oracle keeps the first in y-major order.
         y, z, h = entropy_grid_argmax(40.0, 8.0, 0.05)
-        assert y == pytest.approx(1.6, abs=1e-9)
-        assert z == pytest.approx(-1.6, abs=1e-9)
+        assert y == pytest.approx(-1.6, abs=1e-9)
+        assert z == pytest.approx(1.6, abs=1e-9)
         # The transpose image attains the same entropy on the grid.
         x = 0.5 * math.log(40.0)
         from twobytwo import MarginCoords, psi

@@ -15,13 +15,10 @@ from twobytwo import (
     MeasureKind,
     emit_grid,
     eval_in_coords,
-    evaluate,
-    psi,
 )
 from twobytwo import grids
 from twobytwo.grids import _repr_fields, _rows_per_block, grid_axis, grid_rows
 from twobytwo.measures import CLI_NAMES
-from twobytwo.tables import psi_cells
 
 
 def render(spec):
@@ -57,11 +54,20 @@ class TestGridSpec:
             (5.0, 2.0, -0.1),
             (5.0, 2.0, 5.0),
             (5.0, 1e308, 1e-10),
+            (2.0, 1e300, 1.0),
+            (2.0, 2.0**62, 1.0),
         ],
     )
     def test_invalid(self, odds_ratio, half_width, step):
         with pytest.raises(ValueError):
             GridSpec(MeasureKind("corr_r"), odds_ratio, half_width, step)
+
+    def test_point_count_bound_is_the_largest_numpy_index(self):
+        # 2**62 + 1 points pass and 2**63 + 1 do not (the spec is only
+        # built, never walked).
+        GridSpec(MeasureKind("corr_r"), 2.0, 2.0**61, 1.0)
+        with pytest.raises(ValueError, match=str(np.iinfo(np.intp).max)):
+            GridSpec(MeasureKind("corr_r"), 2.0, 2.0**62, 1.0)
 
 
 class TestEmitGrid:
@@ -122,11 +128,7 @@ class TestEmitGrid:
         grid = parse(render(spec)[1])
         assert len(grid) == 9 * 9
         for (y, z), value in grid.items():
-            c = MarginCoords(x, y, z)
-            if kind.measure.coords is not None:
-                want = eval_in_coords(kind, c)
-            else:
-                want = evaluate(kind, psi(c))
+            want = eval_in_coords(kind, MarginCoords(x, y, z))
             assert abs(value - want) <= 1e-12, (y, z)
 
 
@@ -135,12 +137,8 @@ def per_row_rows(spec):
     x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
     z = np.array(axis)
-    kind = spec.measure
     for y in axis:
-        if kind.measure.coords is not None:
-            yield y, kind.on_coords(x, y, z)
-        else:
-            yield y, kind.on_cells(*psi_cells(x, y, z))
+        yield y, spec.measure.on_coords(x, y, z)
 
 
 class TestBlocks:

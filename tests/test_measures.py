@@ -4,16 +4,19 @@ axis limits, axioms and closed-form gradients."""
 from __future__ import annotations
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twobytwo import (
     MarginCoords,
     MeasureKind,
     ProbTable,
-    UndefinedKappa,
     UnsupportedKind,
     corr_r,
     d_prime,
@@ -30,16 +33,19 @@ from twobytwo import (
     odds_ratio,
     psi,
     s_mut_inf,
+    theta,
     yule_q,
     yule_y,
 )
 from twobytwo.cli import main
-from twobytwo.measures import CLI_NAMES
+from twobytwo.measures import CLI_NAMES, MEASURES
 from conftest import (
     axiom_suite_errors,
     ensure_lambda_above_one,
     kappa_symmetry_violation,
     max_cross_form_errors,
+    mp_measures,
+    mp_psi_weights,
     random_tables,
     s8_closed_form,
     s9_closed_form,
@@ -166,35 +172,41 @@ class TestMeasureKind:
         with pytest.raises(ValueError):
             MeasureKind("hs", -2.0)
 
-    def test_kappa_undefined_raise_has_expected_type(self):
-        assert issubclass(UndefinedKappa, ArithmeticError)
-
-    def test_undefined_kappa_raises_and_cli_exits_cleanly(self):
-        # Chance agreement rounds to exactly 1 on this table.
+    def test_kappa_on_a_nearly_pure_table_matches_mpmath(self):
+        # Chance agreement rounds to 1 on this table; kappa = 2D / (row0 col1
+        # + row1 col0) is about 0.5.
         t = ProbTable(1, 1e-300, 1e-300, 1e-300)
-        with pytest.raises(UndefinedKappa):
-            kappa(t)
-        with pytest.raises(UndefinedKappa):
-            evaluate(MeasureKind.from_cli("kappa"), t)
+        want = mp_measures(t.cells)["kappa"]
+        assert abs(kappa(t) - want) <= 1e-10 * abs(want)
+        assert evaluate(MeasureKind.from_cli("kappa"), t) == kappa(t)
         result = CliRunner().invoke(
             main, ["measure", "--table", "1,1e-300,1e-300,1e-300", "--measures", "kappa"]
         )
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "kappa: chance agreement equals 1" in result.output
-        assert "Traceback" not in result.output
+        assert result.exit_code == 0
+        assert result.output == "kappa,0.500000\n"
 
-    def test_zero_denominator_raises_and_cli_exits_cleanly(self):
-        # row1 * col1 underflows to 0 on this table, so r's denominator is 0.
+    def test_r_on_a_nearly_pure_table_matches_mpmath(self):
+        # row1 * col1 underflows to 0 on this table; r is about 0.5.
         t = ProbTable(1, 1e-300, 1e-300, 1e-300)
-        with pytest.raises(ArithmeticError):
-            corr_r(t)
+        want = mp_measures(t.cells)["corr_r"]
+        assert abs(corr_r(t) - want) <= 1e-10 * abs(want)
         result = CliRunner().invoke(
             main, ["measure", "--table", "1,1e-300,1e-300,1e-300", "--measures", "r"]
         )
+        assert result.exit_code == 0
+        assert result.output == "r,0.500000\n"
+
+    def test_true_overflow_raises_and_cli_exits_cleanly(self):
+        # lambda = 1e600 here: past the largest double.
+        t = ProbTable(1, 1e-300, 1e-300, 1)
+        with pytest.raises(FloatingPointError):
+            odds_ratio(t)
+        result = CliRunner().invoke(
+            main, ["measure", "--table", "1,1e-300,1e-300,1", "--measures", "Y,lambda"]
+        )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("Error: r: ")
+        assert result.output == "Y,1.000000\nError: lambda: overflow encountered in exp\n"
 
 
 class TestCoordinateForms:
@@ -241,8 +253,106 @@ class TestCoordinateForms:
                 assert math.isfinite(eval_in_coords(kind, c))
 
     def test_unsupported_tag_raises(self):
+        # Every measure has a coordinate form; mut_inf has no axis limit.
+        assert eval_in_coords(MeasureKind("mut_inf"), MarginCoords(0, 0, 0)) == 0.0
         with pytest.raises(UnsupportedKind):
-            eval_in_coords(MeasureKind("mut_inf"), MarginCoords(0, 0, 0))
+            margin_limit(MeasureKind("mut_inf"), 1.0, "y", "+", 0.0)
+
+
+# Margin coordinates over psi's documented domain, |x|, |y|, |z| <= 500.
+DOMAIN_COORDS = st.builds(
+    MarginCoords, *[st.floats(-500.0, 500.0, allow_nan=False)] * 3
+)
+
+# The four inputs at the edge of the manifold where a former formula failed:
+# name -> (table, its margin coordinates, the true table's coordinates or
+# weights).
+_FAR, _HIGH, _CORNER = (
+    MarginCoords(1.0, 400.0, -400.0),
+    MarginCoords(300.0, 200.0, 0.0),
+    MarginCoords(500.0, 500.0, 500.0),
+)
+_PURE = ProbTable(1, 1e-300, 1e-300, 1e-300)
+EDGE_CASES = {
+    "psi(1, 400, -400)": (psi(_FAR), _FAR, _FAR),
+    "psi(300, 200, 0)": (psi(_HIGH), _HIGH, _HIGH),
+    "theta(psi(500, 500, 500))": (psi(theta(psi(_CORNER))), theta(psi(_CORNER)), _CORNER),
+    "ProbTable(1, 1e-300, 1e-300, 1e-300)": (_PURE, theta(_PURE), (1, 1e-300, 1e-300, 1e-300)),
+}
+
+# MI and sMI at psi(1, 400, -400) are 2.3e-347, below the smallest double, but
+# the sum of p * ln p terms of about 4e-171 leaves rounding noise of 1e-186.
+EDGE_NOISE = {("psi(1, 400, -400)", "mut_inf"), ("psi(1, 400, -400)", "s_mut_inf")}
+
+
+def outcome(fn):
+    """fn(), or the type of the ArithmeticError it raises."""
+    try:
+        return fn()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class TestDocumentedDomain:
+    """Every measure over |coords| <= 500, and at the edge of the manifold."""
+
+    @given(DOMAIN_COORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_table_and_coordinates_give_one_value(self, c):
+        t = psi(c)
+        for tag in MEASURES:
+            kind = MeasureKind(tag)
+            direct = outcome(lambda: evaluate(kind, t))
+            in_coords = outcome(lambda: eval_in_coords(kind, c))
+            if isinstance(direct, type) or isinstance(in_coords, type):
+                assert direct is in_coords, (tag, direct, in_coords)
+            else:
+                assert abs(direct - in_coords) <= 1e-10 * max(1.0, abs(direct)), tag
+
+    @given(DOMAIN_COORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_theta_inverts_psi(self, c):
+        back = theta(psi(c))
+        for got, want in ((back.x, c.x), (back.y, c.y), (back.z, c.z)):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (back, c)
+
+    @given(DOMAIN_COORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_a_true_overflow(self, c):
+        t = psi(c)
+        for tag in MEASURES:
+            value = outcome(lambda: evaluate(MeasureKind(tag), t))
+            if isinstance(value, type):
+                # Only lambda = e^{2x} can pass the largest double.
+                assert tag == "odds_ratio" and value is FloatingPointError, (tag, value)
+                assert mpmath.exp(2 * mpmath.mpf(c.x)) > sys.float_info.max
+            else:
+                assert math.isfinite(value), tag
+
+    def test_theta_of_psi_at_the_corner(self):
+        back = theta(psi(MarginCoords(500.0, 500.0, 500.0)))
+        for v in (back.x, back.y, back.z):
+            assert abs(v - 500.0) <= 1e-10 * 500.0
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_edge_tables_match_mpmath(self, case):
+        t, coords, truth_at = EDGE_CASES[case]
+        if isinstance(truth_at, MarginCoords):
+            truth_at = mp_psi_weights(truth_at)
+        want = mp_measures(truth_at)
+        for tag in MEASURES:
+            kind = MeasureKind(tag)
+            truth = want[tag]
+            for form, fn in (("direct", lambda: evaluate(kind, t)),
+                             ("coords", lambda: eval_in_coords(kind, coords))):
+                got = outcome(fn)
+                if abs(truth) > sys.float_info.max:
+                    assert got is FloatingPointError, (tag, form, got)
+                elif (case, tag) in EDGE_NOISE:
+                    assert 0.0 <= got <= 1e-185, (tag, form, got)
+                else:
+                    tol = 1e-10 * max(abs(truth), sys.float_info.min)
+                    assert abs(got - truth) <= tol, (tag, form, got, truth)
 
 
 class TestMarginLimits:

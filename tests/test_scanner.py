@@ -352,17 +352,18 @@ class TestScan:
 
     def test_other_measures_are_evaluated_on_the_top_k_only(self):
         # m3 is 1 in one sample only, so (m1, m3) and (m2, m3) have a zero
-        # cell.  With a subnormal pseudocount Y fails there and D does not.
+        # cell.  With a subnormal pseudocount lambda truly overflows there (a
+        # zero cell in its denominator) and D does not.
         a = [k % 2 for k in range(40)]
         b = [1 - v if k in (3, 10, 17, 24) else v for k, v in enumerate(a)]
         c = [int(k == 1) for k in range(40)]
         lines = ["m1\tm2\tm3"] + [f"{u}\t{v}\t{w}" for u, v, w in zip(a, b, c)]
         m = matrix_from("\n".join(lines))
-        d, y = MeasureKind("d_raw"), MeasureKind("yule_y")
+        d, y = MeasureKind("d_raw"), MeasureKind("odds_ratio")
         (top,) = scan(m, [d, y], d, top_k=1, pseudocount=1e-320)
         assert (top.id_a, top.id_b) == ("m1", "m2")
         assert top.values[y] == evaluate(y, counts_to_table(top.counts, 1e-320))
-        # Inside the top k, or as the ranking measure, Y still fails the scan.
+        # Inside the top k, or as the ranking measure, lambda fails the scan.
         with pytest.raises(FloatingPointError):
             scan(m, [d, y], d, top_k=2, pseudocount=1e-320)
         with pytest.raises(FloatingPointError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from twobytwo import (
     DegenerateTable,
     MarginCoords,
     ProbTable,
+    log_cells,
     make_table,
     margin_transform,
     odds_ratio,
@@ -177,12 +179,13 @@ class TestCoordinates:
         points = np.concatenate(
             [corners, rng.uniform(-500, 500, size=(200, 3)), rng.uniform(-10, 10, size=(200, 3))]
         )
-        cells = np.array(psi_cells(*points.T))
-        assert cells.shape == (4, len(points))
-        for point, got in zip(points.tolist(), cells.T.tolist()):
-            want = psi(MarginCoords(*point)).cells
-            for g, w in zip(got, want):
+        cells, logs = (np.array(a) for a in psi_cells(*points.T))
+        assert cells.shape == logs.shape == (4, len(points))
+        for point, got, got_logs in zip(points.tolist(), cells.T.tolist(), logs.T.tolist()):
+            t = psi(MarginCoords(*point))
+            for g, w in zip(got, t.cells):
                 assert abs(g - w) <= 1e-15 * w, point
+            assert tuple(got_logs) == t.logs, point
 
     def test_coords_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -200,6 +203,49 @@ class TestCoordinates:
         c = MarginCoords(*xyz)
         back = theta(psi(c))
         assert max(abs(back.x - c.x), abs(back.y - c.y), abs(back.z - c.z)) < 1e-10
+
+
+class TestLogCells:
+    def test_logs_match_mpmath(self):
+        rng = np.random.default_rng(27)
+        weights = rng.uniform(1e-3, 1.0, size=(200, 4)).tolist() + [
+            (1, 1e-300, 1e-300, 1e-300),
+            (5e-324, 1, 1, 1e300),
+            (3, 1e-17, 1e-17, 1e-16),
+        ]
+        with mpmath.workdps(700):
+            for w in weights:
+                total = mpmath.fsum(mpmath.mpf(v) for v in w)
+                for got, v in zip(ProbTable(*w).logs, w):
+                    # Relative, so the dominant cell's log of about -3e-300
+                    # must be right too.
+                    want = mpmath.log(mpmath.mpf(v) / total)
+                    assert abs(got - want) <= 1e-14 * abs(want), (w, got)
+
+    def test_broadcast_equals_one_table_at_a_time(self):
+        rng = np.random.default_rng(28)
+        weights = np.concatenate(
+            [rng.integers(0, 50, size=(4, 300)) + 0.5, rng.uniform(1e-300, 1.0, size=(4, 300))],
+            axis=1,
+        )
+        logs = log_cells(weights)
+        for column, got in zip(weights.T.tolist(), logs.T.tolist()):
+            assert tuple(got) == ProbTable(*column).logs
+
+    def test_psi_logs_are_exact_below_the_floor(self):
+        # p11 = e^-1000 is floored to a subnormal; its log is not.
+        t = psi(MarginCoords(0.0, 500.0, 500.0))
+        assert t.p11 > 0.0
+        assert t.logs[3] == pytest.approx(-1000.0, rel=1e-15)
+
+    def test_symmetries_move_the_logs(self):
+        t = psi(MarginCoords(0.0, 500.0, 500.0))
+        for op, order in (
+            ("transpose_markers", (0, 2, 1, 3)),
+            ("swap_rows", (2, 3, 0, 1)),
+            ("swap_cols", (1, 0, 3, 2)),
+        ):
+            assert symmetry_apply(t, op).logs == tuple(t.logs[i] for i in order)
 
 
 class TestSymmetry:
