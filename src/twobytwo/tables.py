@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -60,19 +60,19 @@ class ProbTable:
 
     Raw positive weights are accepted (e.g. counts plus pseudocounts); the
     constructor divides by their sum, so entries are proportional to the
-    inputs and sum to 1.  ``logs`` holds the natural logs of the normalised
-    cells, exact where a cell rounds to 1 or to a subnormal: ``log_cells``
-    of the weights, unless given (``psi`` gives the logs of its exponents).
-    The measures and ``theta`` read them.
+    inputs and sum to 1.  The attribute ``logs`` holds the natural logs of
+    the normalised cells, exact where a cell rounds to 1 or to a subnormal:
+    ``log_cells`` of the weights, or ``exact_logs`` if given (``psi`` gives
+    the logs of its exponents).  The measures and ``theta`` read them.
     """
 
     p00: float
     p01: float
     p10: float
     p11: float
-    logs: tuple = field(default=None, kw_only=True, repr=False, compare=False)
+    exact_logs: InitVar[tuple | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, exact_logs):
         cells = [
             _check_positive(v, f"cell {name}")
             for name, v in zip(("p00", "p01", "p10", "p11"), self.cells)
@@ -82,10 +82,10 @@ class ProbTable:
             raise DegenerateTable(f"cells do not have a finite positive sum: {cells}")
         for name, value in zip(("p00", "p01", "p10", "p11"), cells):
             object.__setattr__(self, name, value / total)
-        if self.logs is None:
+        if exact_logs is None:
             object.__setattr__(self, "logs", tuple(log_cells(np.array(cells)).tolist()))
         else:
-            object.__setattr__(self, "logs", tuple(map(float, self.logs)))
+            object.__setattr__(self, "logs", tuple(map(float, exact_logs)))
 
     @property
     def cells(self):
@@ -226,7 +226,7 @@ def _log_total(weights):
 def psi(c):
     """Inverse of theta: the table of psi_cells at c, with its exact logs."""
     cells, logs = psi_cells(c.x, c.y, c.z)
-    return ProbTable(*cells.tolist(), logs=logs.tolist())
+    return ProbTable(*cells.tolist(), exact_logs=logs.tolist())
 
 
 # The cell order of each symmetry; the logs move with the cells.
@@ -245,7 +245,8 @@ def symmetry_apply(t, op):
     """
     if op in _SYMMETRY_OPS:
         order = _SYMMETRY_OPS[op]
-        return ProbTable(*(t.cells[i] for i in order), logs=[t.logs[i] for i in order])
+        cells, logs = ([v[i] for i in order] for v in (t.cells, t.logs))
+        return ProbTable(*cells, exact_logs=logs)
     raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -237,6 +238,11 @@ class TestLogCells:
         t = psi(MarginCoords(0.0, 500.0, 500.0))
         assert t.p11 > 0.0
         assert t.logs[3] == pytest.approx(-1000.0, rel=1e-15)
+
+    def test_replace_takes_the_logs_of_the_new_cells(self):
+        t = psi(MarginCoords(0.0, 500.0, 500.0))
+        moved = dataclasses.replace(t, p00=0.5)
+        assert moved.logs == ProbTable(0.5, t.p01, t.p10, t.p11).logs
 
     def test_symmetries_move_the_logs(self):
         t = psi(MarginCoords(0.0, 500.0, 500.0))
