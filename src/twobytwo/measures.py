@@ -105,7 +105,8 @@ def _d_prime(p, l, n):
 
 
 def _corr_r(p, l, n):
-    return _det_over(l, 0.5 * sum(_log_margins(l)))
+    row0, row1, col0, col1 = _log_margins(l)
+    return _det_over(l, 0.5 * ((row0 + row1) + (col0 + col1)))
 
 
 def _kappa(p, l, n):

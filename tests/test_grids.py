@@ -112,6 +112,14 @@ class TestEmitGrid:
         for (y, z), value in grid.items():
             assert grid[(z, y)] == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("name", list(CLI_NAMES))
+    def test_transpose_symmetry_is_exact(self, name):
+        # Transposing the markers swaps y and z and leaves every measure;
+        # the kernels keep that to the last bit.
+        spec = GridSpec(MeasureKind.from_cli(name, 4.0), 40.0, 3.0, 0.25)
+        values = np.array([row for _, row in grid_rows(spec)])
+        assert np.array_equal(values, values.T)
+
     def test_table_form_measures_also_emit(self):
         spec = GridSpec(MeasureKind("s_mut_inf"), 12.0, 1.0, 0.5)
         grid = parse(render(spec)[1])
