@@ -264,9 +264,9 @@ DOMAIN_COORDS = st.builds(
     MarginCoords, *[st.floats(-500.0, 500.0, allow_nan=False)] * 3
 )
 
-# The four inputs at the edge of the manifold where a former formula failed:
-# name -> (table, its margin coordinates, the true table's coordinates or
-# weights).
+# Four inputs at the edge of the manifold, with cells far below the smallest
+# double or rounding to 1: name -> (table, its margin coordinates, the true
+# table's coordinates or weights).
 _FAR, _HIGH, _CORNER = (
     MarginCoords(1.0, 400.0, -400.0),
     MarginCoords(300.0, 200.0, 0.0),
