@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, grid_axis, grid_rows
+from .grids import GridSpec, grid_axis, grid_blocks
 from .measures import MeasureKind
 from .tables import MarginCoords, ProbTable, psi, symmetry_apply, theta
 
@@ -188,9 +188,9 @@ def critical_points(big_l):
 def entropy_grid_argmax(big_l, half_width, step):
     """Brute-force argmax of entropy over the (y, z) grid at x = ln sqrt(L).
 
-    Independent oracle for the solver: walks the rows of the entropy grid
-    and keeps the first (lexicographically smallest) maximising grid
-    point.  Returns (y_star, z_star, h_star).
+    Independent oracle for the solver: walks the blocks of the entropy grid
+    and keeps the first maximising grid point in y-major order (the
+    lexicographically smallest).  Returns (y_star, z_star, h_star).
     """
     big_l = float(big_l)
     if not math.isfinite(big_l) or big_l <= 0.0:
@@ -200,10 +200,8 @@ def entropy_grid_argmax(big_l, half_width, step):
 
     best_h = -math.inf
     best_y = best_z = 0.0
-    for y, h_row in grid_rows(spec):
-        i = int(np.argmax(h_row))
-        if h_row[i] > best_h:
-            best_h = float(h_row[i])
-            best_y = float(y)
-            best_z = float(axis[i])
+    for ys, h in grid_blocks(spec):
+        i, j = np.unravel_index(np.argmax(h), h.shape)
+        if h[i, j] > best_h:
+            best_h, best_y, best_z = float(h[i, j]), float(ys[i]), float(axis[j])
     return best_y, best_z, best_h

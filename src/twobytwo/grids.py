@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 import orjson
 
-# eval_in_coords, evaluate and psi are the one-point forms of what grid_rows
+# eval_in_coords, evaluate and psi are the one-point forms of what grid_blocks
 # computes a block of rows at a time; perfbench/tracing.py wraps them here.
 from .measures import MeasureKind, eval_in_coords, evaluate
 from .tables import psi
 
-__all__ = ["GridSpec", "grid_axis", "grid_rows", "emit_grid"]
+__all__ = ["GridSpec", "grid_axis", "grid_blocks", "emit_grid"]
 
-# Cells per block: grid_rows calls the kernel, and emit_grid orjson, once per
+# Cells per block: grid_blocks calls the kernel, and emit_grid orjson, once per
 # block of this many cells (at least one row).  Twice as many saved a few
 # percent of grid time but raised peak memory by about 2 MB more.
 _BLOCK_CELLS = 4096
@@ -66,23 +65,22 @@ def grid_axis(spec):
     return [-spec.half_width + i * spec.step for i in range(count)]
 
 
-def grid_rows(spec):
-    """Yield (y, values) for each y of the grid, values over the z axis.
+def grid_blocks(spec):
+    """Yield (ys, values) for each block of rows of the grid, in y order.
 
-    The kernel runs once per block of rows, about _BLOCK_CELLS cells, on the
-    block's y values as a column against the z row; values is a row of its
-    result, broadcast to the z axis.  A kernel that fails raises before the
-    first row of its block.
+    A block is about _BLOCK_CELLS cells, at least one row.  The kernel runs
+    once per block, on the block's y values ys as a column against the z
+    axis as a row; values is its result broadcast to shape (len(ys), z
+    count), y-major.  A kernel that fails raises before its block is yielded.
     """
     x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
     z = np.array(axis)
-    kind = spec.measure
     rows_per_block = _rows_per_block(len(axis))
     for start in range(0, len(axis), rows_per_block):
         ys = axis[start : start + rows_per_block]
-        block = kind.on_coords(x, np.array(ys)[:, np.newaxis], z)
-        yield from zip(ys, np.broadcast_to(block, (len(ys), len(axis))))
+        block = spec.measure.on_coords(x, np.array(ys)[:, np.newaxis], z)
+        yield ys, np.broadcast_to(block, (len(ys), len(axis)))
 
 
 def emit_grid(spec, sink):
@@ -90,12 +88,11 @@ def emit_grid(spec, sink):
 
     Every field is the shortest round-trip decimal of its float, spelled as
     ``repr`` spells it, so output is byte-for-byte reproducible for a given
-    spec.  One ``repr`` per value would take most of the run, so the rows of
-    grid_rows are taken in blocks of about _BLOCK_CELLS cells: the values of
-    a block are formatted by one ``orjson.dumps`` call, whose Ryu formatter
-    writes the same digits (see _repr_fields), and the block is written by
-    one ``b"".join``.  If a kernel fails, the output stops at the end of
-    the last whole block.
+    spec.  One ``repr`` per value would take most of the run, so each block
+    of grid_blocks is formatted as it arrives: its values by one
+    ``orjson.dumps`` call, whose Ryu formatter writes the same digits (see
+    _repr_fields), and the block is written by one ``b"".join``.  If a
+    kernel fails, the output stops at the end of the last whole block.
     """
     axis = grid_axis(spec)
     count = len(axis)
@@ -106,22 +103,16 @@ def emit_grid(spec, sink):
     line_parts[1::4] = [f"{z!r},".encode("ascii") for z in axis] * rows_per_block
 
     sink.write(b"y,z,value\n")
-    rows = grid_rows(spec)
-    while block := list(islice(rows, rows_per_block)):
-        values = np.empty((len(block), count))
-        y_fields = []
-        for i, (y, row) in enumerate(block):
-            values[i] = row
-            y_fields += [f"{y!r},".encode("ascii")] * count
+    for ys, values in grid_blocks(spec):
         del line_parts[4 * values.size :]  # the last block may be shorter
-        line_parts[0::4] = y_fields
+        line_parts[0::4] = [f for y in ys for f in [f"{y!r},".encode("ascii")] * count]
         line_parts[2::4] = _repr_fields(values.ravel())
         sink.write(b"".join(line_parts))
     return count**2
 
 
 def _rows_per_block(count):
-    """Rows of count cells in one block of grid_rows and emit_grid."""
+    """Rows of count cells in one block of grid_blocks and emit_grid."""
     return max(1, _BLOCK_CELLS // count)
 
 

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .tables import psi_cells
+from .tables import half_log_odds, psi_cells
 
 __all__ = [
     "Measure",
@@ -65,12 +65,6 @@ class UnsupportedKind(ValueError):
 # --- kernels of (p, l, n): the cells, their logs and the HS exponent --------
 
 
-def _half_log_odds(l):
-    """x = ln sqrt(odds-ratio) = ((l00 + l11) - (l01 + l10)) / 2."""
-    l00, l01, l10, l11 = l
-    return 0.5 * ((l00 + l11) - (l01 + l10))
-
-
 def _logaddexp(a, b):
     """log(e^a + e^b); the max is exact, so a log margin of -3e-300 survives."""
     return np.maximum(a, b) + np.log1p(np.exp(-abs(a - b)))
@@ -90,14 +84,14 @@ def _log_e2x_minus_1(x):
 
 def _det_over(l, log_den):
     """The determinant p00 p11 - p01 p10 = p01 p10 (e^{2x} - 1) over e^log_den."""
-    x = _half_log_odds(l)
+    x = half_log_odds(l)
     return np.sign(x) * np.exp(l[1] + l[2] + _log_e2x_minus_1(x) - log_den)
 
 
 def _d_prime(p, l, n):
     row0, row1, col0, col1 = _log_margins(l)
     log_d_max = np.where(
-        _half_log_odds(l) >= 0.0,
+        half_log_odds(l) >= 0.0,
         np.minimum(row0 + col1, col0 + row1),
         np.minimum(row0 + col0, row1 + col1),
     )
@@ -132,11 +126,11 @@ def _mut_inf(p, l, n):
 
 
 def _s_mut_inf(p, l, n):
-    return np.sign(_half_log_odds(l)) * np.abs(_mut_inf(p, l, n))
+    return np.sign(half_log_odds(l)) * np.abs(_mut_inf(p, l, n))
 
 
 def _hs(p, l, n):
-    x = _half_log_odds(l)
+    x = half_log_odds(l)
     return _weighted_y(_tanh_half_x(x), n, _entropy_diag_x(x) - _entropy(p, l, n))
 
 
@@ -149,7 +143,11 @@ def _entropy_diag_x(x):
 
 def _weighted_y(y, n, h_gap):
     """sign(Y) * |Y|^exp(n * h_gap), the HS form shared by every HS formula."""
-    return np.sign(y) * np.power(np.abs(y), np.exp(n * h_gap))
+    # n * h_gap or its exp may overflow: a weight of inf or 0 gives the limit,
+    # sign(Y) * |Y|^inf (0 for |Y| < 1) or sign(Y).
+    with np.errstate(over="ignore"):
+        weight = np.exp(n * h_gap)
+    return np.sign(y) * np.power(np.abs(y), weight)
 
 
 def _tanh_half_x(x, *_):
@@ -167,17 +165,17 @@ def _zero_limit(*_):
 def _d_prime_limit(x, s, other, n):
     # Same two-case formula for y->+-inf (other = z) and z->+-inf (other = y).
     if x > 0:
-        log_den = np.logaddexp(2.0 * x, x + s * other)
+        log_den = _logaddexp(2.0 * x, x + s * other)
     else:
-        log_den = np.logaddexp(x - s * other, 0.0)
+        log_den = _logaddexp(x - s * other, 0.0)
     return np.sign(x) * np.exp(_log_e2x_minus_1(x) - log_den)
 
 
 def _hs_limit(x, s, other, n):
-    # The limit table keeps a single binary split with success probability p.
-    p = 1.0 / (1.0 + np.exp(x + s * other))
-    q = 1.0 - p
-    h_split = -(p * np.log2(p) + q * np.log2(q)) if 0.0 < p < 1.0 else 0.0
+    # The limit table keeps a single binary split, in the ratio 1 : e^a.
+    a = x + s * other
+    l0, l1 = -_logaddexp(0.0, a), -_logaddexp(-a, 0.0)
+    h_split = _entropy((np.exp(l0), np.exp(l1), 0.0, 0.0), (l0, l1, 0.0, 0.0), n)
     return _weighted_y(_tanh_half_x(x), n, _entropy_diag_x(x) - h_split)
 
 
@@ -206,9 +204,9 @@ class Measure:
 MEASURES = {
     m.tag: m
     for m in (
-        Measure("odds_ratio", "lambda", lambda p, l, n: np.exp(2.0 * _half_log_odds(l))),
-        Measure("yule_q", "Q", lambda p, l, n: np.tanh(_half_log_odds(l))),
-        Measure("yule_y", "Y", lambda p, l, n: _tanh_half_x(_half_log_odds(l)), _tanh_half_x),
+        Measure("odds_ratio", "lambda", lambda p, l, n: np.exp(2.0 * half_log_odds(l))),
+        Measure("yule_q", "Q", lambda p, l, n: np.tanh(half_log_odds(l))),
+        Measure("yule_y", "Y", lambda p, l, n: _tanh_half_x(half_log_odds(l)), _tanh_half_x),
         Measure("d_raw", "D", lambda p, l, n: _det_over(l, 0.0)),
         Measure("d_prime", "Dprime", _d_prime, _d_prime_limit),
         Measure("corr_r", "r", _corr_r, _zero_limit),
@@ -216,7 +214,7 @@ MEASURES = {
         Measure("s_mut_inf", "sMI", _s_mut_inf, _zero_limit),
         Measure("kappa", "kappa", _kappa),
         Measure("entropy", "H", _entropy),
-        Measure("entropy_diag", "Hdiag", lambda p, l, n: _entropy_diag_x(_half_log_odds(l))),
+        Measure("entropy_diag", "Hdiag", lambda p, l, n: _entropy_diag_x(half_log_odds(l))),
         Measure("hs", "HS", _hs, _hs_limit, uses_n=True),
     )
 }
@@ -226,16 +224,17 @@ CLI_NAMES = {m.cli_name: m.tag for m in MEASURES.values()}
 
 @dataclass(frozen=True)
 class MeasureKind:
-    """A measure selector; ``n`` is the weighting exponent, used by hs only."""
+    """A measure selector; ``n`` is the weighting exponent of hs, None for the rest."""
 
     tag: str
-    n: float = field(default=DEFAULT_HS_N)
+    n: float | None = field(default=DEFAULT_HS_N)
 
     def __post_init__(self):
         if self.tag not in MEASURES:
             raise ValueError(f"unknown measure tag {self.tag!r}")
-        n = float(self.n)
-        if self.measure.uses_n and not (math.isfinite(n) and n >= 0.0):
+        # The other measures drop n, so that their kinds compare equal.
+        n = float(self.n) if self.measure.uses_n else None
+        if n is not None and not (math.isfinite(n) and n >= 0.0):
             raise ValueError(f"{self.tag} needs n >= 0, got {self.n!r}")
         object.__setattr__(self, "n", n)
 
@@ -320,4 +319,5 @@ def margin_limit(kind, x, axis, direction, other):
     limit = kind.measure.limit
     if limit is None:
         raise UnsupportedKind(f"{kind.tag} has no closed-form axis limit")
-    return float(limit(x, s, other, kind.n))
+    # As numpy floats, so that an intermediate inf or nan raises under _strict.
+    return float(limit(np.float64(x), s, np.float64(other), kind.n))

@@ -14,7 +14,7 @@ import numpy as np
 
 # evaluate is not called here; perfbench/tracing.py wraps scanner.evaluate.
 from .measures import MeasureKind, evaluate
-from .tables import DegenerateTable, ProbTable, log_cells
+from .tables import DegenerateTable, ProbTable, cell_total, log_cells
 
 __all__ = [
     "ParseError",
@@ -244,7 +244,7 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
             raise DegenerateTable(f"pair ({ids[ia[k]]}, {ids[ib[k]]}): {exc}") from exc
 
     # The cells and logs that ProbTable gives each pair's table.
-    probs = cells / cells.sum(axis=0)
+    probs = cells / cell_total(cells)
     logs = log_cells(cells)
     rank_values = rank_by.on_cells(probs, logs)
     key = -np.abs(rank_values)

@@ -30,6 +30,8 @@ __all__ = [
     "psi",
     "psi_cells",
     "log_cells",
+    "cell_total",
+    "half_log_odds",
     "symmetry_apply",
     "ray_limit",
 ]
@@ -43,6 +45,8 @@ class DegenerateTable(ValueError):
 # Keeps psi() total on |x|,|y|,|z| <= 500: dominated cells underflow to the
 # smallest subnormal instead of 0, so the result stays on the open manifold.
 _EXP_FLOOR = -744.0
+
+_CELL_NAMES = ("p00", "p01", "p10", "p11")
 
 
 def _check_positive(value, what):
@@ -59,11 +63,12 @@ class ProbTable:
     """Strictly positive 2x2 probability table, renormalised on construction.
 
     Raw positive weights are accepted (e.g. counts plus pseudocounts); the
-    constructor divides by their sum, so entries are proportional to the
-    inputs and sum to 1.  The attribute ``logs`` holds the natural logs of
-    the normalised cells, exact where a cell rounds to 1 or to a subnormal:
-    ``log_cells`` of the weights, or ``exact_logs`` if given (``psi`` gives
-    the logs of its exponents).  The measures and ``theta`` read them.
+    constructor divides by their ``cell_total``, so entries are proportional
+    to the inputs and sum to 1.  The attribute ``logs`` holds the natural
+    logs of the normalised cells, exact where a cell rounds to 1 or to a
+    subnormal: ``log_cells`` of the weights, or ``exact_logs`` if given by
+    ``psi`` or ``symmetry_apply``, whose normalised cells are kept as given.
+    The measures and ``theta`` read the logs.
     """
 
     p00: float
@@ -73,19 +78,16 @@ class ProbTable:
     exact_logs: InitVar[tuple | None] = field(default=None, kw_only=True)
 
     def __post_init__(self, exact_logs):
-        cells = [
-            _check_positive(v, f"cell {name}")
-            for name, v in zip(("p00", "p01", "p10", "p11"), self.cells)
-        ]
-        total = math.fsum(cells)
-        if not math.isfinite(total) or total <= 0.0:
-            raise DegenerateTable(f"cells do not have a finite positive sum: {cells}")
-        for name, value in zip(("p00", "p01", "p10", "p11"), cells):
-            object.__setattr__(self, name, value / total)
+        cells = [_check_positive(v, f"cell {n}") for n, v in zip(_CELL_NAMES, self.cells)]
         if exact_logs is None:
-            object.__setattr__(self, "logs", tuple(log_cells(np.array(cells)).tolist()))
-        else:
-            object.__setattr__(self, "logs", tuple(map(float, exact_logs)))
+            total = cell_total(cells)
+            if not math.isfinite(total):
+                raise DegenerateTable(f"cells do not have a finite positive sum: {cells}")
+            exact_logs = log_cells(np.array(cells)).tolist()
+            cells = [value / total for value in cells]
+        for name, value in zip(_CELL_NAMES, cells):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "logs", tuple(map(float, exact_logs)))
 
     @property
     def cells(self):
@@ -169,7 +171,7 @@ def theta(t):
     # y and z from mirrored-cell differences, so that transposition swaps
     # them and a diagonal-symmetric table has y = z = 0 exactly.
     return MarginCoords(
-        0.5 * ((l00 + l11) - (l01 + l10)),
+        half_log_odds(t.logs),
         0.5 * ((l00 - l11) + (l01 - l10)),
         0.5 * ((l00 - l11) - (l01 - l10)),
     )
@@ -194,10 +196,21 @@ def psi_cells(x, y, z):
     logs = np.array([hx + hu, hw - hx, -hx - hw, hx - hu])
     logs -= logs.max(axis=0)
     cells = np.exp(np.maximum(logs, _EXP_FLOOR))
-    total = (cells[0] + cells[3]) + (cells[1] + cells[2])
+    total = cell_total(cells)
     logs -= _log_total(cells)
     cells /= total
     return cells, logs
+
+
+def cell_total(weights):
+    """(w00 + w11) + (w01 + w10), a sum that every table symmetry keeps to the bit."""
+    return (weights[0] + weights[3]) + (weights[1] + weights[2])
+
+
+def half_log_odds(l):
+    """x = ln sqrt(odds-ratio) = ((l00 + l11) - (l01 + l10)) / 2 of the log cells."""
+    l00, l01, l10, l11 = l
+    return 0.5 * ((l00 + l11) - (l01 + l10))
 
 
 def log_cells(weights):
@@ -249,8 +262,6 @@ def symmetry_apply(t, op):
         return ProbTable(*cells, exact_logs=logs)
     raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
 
-
-_CELL_NAMES = ("p00", "p01", "p10", "p11")
 
 # Zero-cell set -> boundary stratum for the two-cell limits.
 _TWO_CELL_STRATA = {

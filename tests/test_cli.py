@@ -56,6 +56,21 @@ class TestMeasure:
         result = runner.invoke(main, ["measure", "--table", table, "--measures", "Y"])
         assert result.exit_code == 2
 
+    def test_table_with_an_overflowing_sum_exits_2(self, runner):
+        result = runner.invoke(main, ["measure", "--table", "1e308,1e308,1,1", "--measures", "Y"])
+        assert result.exit_code == 2
+        assert "cells do not have a finite positive sum" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("n", ["1e10", "1e300"])
+    def test_hs_at_a_huge_exponent(self, runner, n):
+        # H < Hdiag on this table, so |Y|^exp(n * (Hdiag - H)) goes to 0.
+        result = runner.invoke(
+            main, ["measure", "--table", "0.4,0.1,0.2,0.3", "--measures", "HS", "--n", n]
+        )
+        assert result.exit_code == 0
+        assert result.output == "HS,0.000000\n"
+
     def test_unknown_measure_exits_2(self, runner):
         result = runner.invoke(
             main, ["measure", "--table", "1,1,1,1", "--measures", "phi"]
@@ -164,6 +179,29 @@ class TestGrid:
         assert "lambda: overflow encountered in exp" in result.output
         assert not out.exists()
 
+    def test_true_overflow_exits_1(self, runner):
+        # lambda is the odds-ratio DBL_MAX at every point, but at |y| = |z| =
+        # 400 its off-diagonal cells underflow and the kernel overflows.
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "lambda", "--odds-ratio", "1.7976931348623157e308",
+             "--half-width", "400", "--step", "50"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "y,z,value\nError: lambda: overflow encountered in exp\n"
+
+    @pytest.mark.parametrize("n", ["1e10", "1e300"])
+    def test_hs_at_a_huge_exponent(self, runner, n):
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "HS", "--n", n, "--odds-ratio", "40", "--half-width", "1",
+             "--step", "1"],
+        )
+        assert result.exit_code == 0
+        values = [float(line.split(",")[2]) for line in result.output.splitlines()[1:]]
+        assert len(values) == 9 and all(0.0 <= v <= 1.0 for v in values)
+
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     def test_lambda_far_out_is_the_odds_ratio(self, runner, tmp_path, to_file):
         # At |y| = |z| = 400 the off-diagonal cells reach e^-800; lambda is
@@ -268,6 +306,21 @@ class TestScan:
         assert isinstance(result.exception, SystemExit)
         assert "pair (a, b): zero cell" in result.output
         assert "Traceback" not in result.output
+
+    def test_pseudocount_with_an_overflowing_table_sum_exits_1(self, runner, tmp_path):
+        path = self.make_input(tmp_path)
+        result = runner.invoke(main, ["scan", str(path), "--measure", "Y", "--pseudocount", "1e308"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "cells do not have a finite positive sum" in result.output
+
+    @pytest.mark.parametrize("n", ["1e10", "1e300"])
+    def test_hs_at_a_huge_exponent(self, runner, tmp_path, n):
+        path = self.make_input(tmp_path)
+        result = runner.invoke(main, ["scan", str(path), "--measure", "HS", "--n", n])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[0].endswith(",HS") and len(lines) == 11
 
     def test_numeric_failure_exits_1(self, runner, tmp_path):
         # Zero counts plus a subnormal pseudocount: lambda of (a, b) is

@@ -17,7 +17,7 @@ from twobytwo import (
     eval_in_coords,
 )
 from twobytwo import grids
-from twobytwo.grids import _repr_fields, _rows_per_block, grid_axis, grid_rows
+from twobytwo.grids import _repr_fields, _rows_per_block, grid_axis, grid_blocks
 from twobytwo.measures import CLI_NAMES
 
 
@@ -117,7 +117,7 @@ class TestEmitGrid:
         # Transposing the markers swaps y and z and leaves every measure;
         # the kernels keep that to the last bit.
         spec = GridSpec(MeasureKind.from_cli(name, 4.0), 40.0, 3.0, 0.25)
-        values = np.array([row for _, row in grid_rows(spec)])
+        values = np.vstack([block for _, block in grid_blocks(spec)])
         assert np.array_equal(values, values.T)
 
     def test_table_form_measures_also_emit(self):
@@ -138,6 +138,12 @@ class TestEmitGrid:
         for (y, z), value in grid.items():
             want = eval_in_coords(kind, MarginCoords(x, y, z))
             assert abs(value - want) <= 1e-12, (y, z)
+
+
+def grid_rows(spec):
+    """(y, values) of each row of grid_blocks."""
+    for ys, block in grid_blocks(spec):
+        yield from zip(ys, block)
 
 
 def per_row_rows(spec):
@@ -169,6 +175,7 @@ class TestBlocks:
         spec = GridSpec(MeasureKind.from_cli(name), odds_ratio, half_width, step)
         count = len(grid_axis(spec))
         assert count == sum(blocks) and _rows_per_block(count) == blocks[0]
+        assert [len(ys) for ys, _ in grid_blocks(spec)] == blocks
         got = list(grid_rows(spec))
         want = list(per_row_rows(spec))
         assert [y for y, _ in got] == [y for y, _ in want]
@@ -184,8 +191,7 @@ def repr_oracle(spec):
     axis = grid_axis(spec)
     lines = ["y,z,value"]
     for y, values in grid_rows(spec):
-        values = np.broadcast_to(values, (len(axis),)).tolist()
-        lines += [f"{y!r},{z!r},{v!r}" for z, v in zip(axis, values)]
+        lines += [f"{y!r},{z!r},{v!r}" for z, v in zip(axis, values.tolist())]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -254,10 +260,10 @@ class TestReprSpelling:
         assert payload == repr_oracle(spec)
 
     def test_non_finite_values_are_written_as_repr(self, monkeypatch):
-        def rows(spec):
-            yield 0.5, np.array([math.inf, -math.inf, math.nan, -0.0])
+        def blocks(spec):
+            yield [0.5], np.array([[math.inf, -math.inf, math.nan, -0.0]])
 
-        monkeypatch.setattr(grids, "grid_rows", rows)
+        monkeypatch.setattr(grids, "grid_blocks", blocks)
         spec = GridSpec(MeasureKind("corr_r"), 5.0, 1.5, 1.0)
         lines = render(spec)[1].decode("ascii").splitlines()
         assert lines[1:] == ["0.5,-1.5,inf", "0.5,-0.5,-inf", "0.5,0.5,nan", "0.5,1.5,-0.0"]

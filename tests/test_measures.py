@@ -141,6 +141,31 @@ class TestDirectForms:
         for t in random_tables(200, 33):
             assert hs(t, 0.0) == yule_y(t)
 
+    @pytest.mark.parametrize("n", [1e10, 1e300, sys.float_info.max])
+    @pytest.mark.parametrize("shape", ["T", "L-shaped"])
+    def test_hs_at_a_huge_exponent_matches_mpmath(self, shape, n):
+        # exp(n * (Hdiag - H)), and at DBL_MAX n * (Hdiag - H) itself, leave
+        # the doubles.  |HS| = exp(-exp(g)), g = n (Hdiag - H) + log(-log|Y|),
+        # is too far out for mpmath to take both exps, so g is checked: on T
+        # (H < Hdiag) |HS| is below half the smallest subnormal and rounds to
+        # 0; on an L-shaped table past the magic L (H > Hdiag) it is within
+        # 2^-54 of 1 and, as Y > 0, HS rounds to 1.
+        t = T if shape == "T" else three_equal_table(50.0)
+        with mpmath.workdps(50):
+            m = mp_measures(t.cells, dps=50)
+            assert m["yule_y"] > 0
+            g = n * (m["entropy_diag"] - m["entropy"]) + mpmath.log(-mpmath.log(m["yule_y"]))
+            if shape == "T":
+                assert g > mpmath.log(1075 * mpmath.log(2))
+            else:
+                assert g < -54 * mpmath.log(2)
+        want = 0.0 if shape == "T" else 1.0
+        assert hs(t, n) == want
+        assert eval_in_coords(MeasureKind("hs", n), theta(t)) == want
+        # The axis limit shares the HS form; its split entropy, at most 1
+        # bit, is below Hdiag(x = 1), so it goes to 0 as well.
+        assert margin_limit(MeasureKind("hs", n), 1.0, "y", "+", 0.0) == 0.0
+
     def test_hs_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             hs(T, -1.0)
@@ -171,6 +196,12 @@ class TestMeasureKind:
     def test_hs_kind_validates_n(self):
         with pytest.raises(ValueError):
             MeasureKind("hs", -2.0)
+
+    @pytest.mark.parametrize("tag", [tag for tag in MEASURES if tag != "hs"])
+    def test_n_matters_only_to_hs(self, tag):
+        a, b = MeasureKind(tag, 2.0), MeasureKind(tag)
+        assert a == b and hash(a) == hash(b)
+        assert MeasureKind("hs", 2.0) != MeasureKind("hs")
 
     def test_kappa_on_a_nearly_pure_table_matches_mpmath(self):
         # Chance agreement rounds to 1 on this table; kappa = 2D / (row0 col1
@@ -304,10 +335,9 @@ class TestDocumentedDomain:
             kind = MeasureKind(tag)
             direct = outcome(lambda: evaluate(kind, t))
             in_coords = outcome(lambda: eval_in_coords(kind, c))
-            if isinstance(direct, type) or isinstance(in_coords, type):
-                assert direct is in_coords, (tag, direct, in_coords)
-            else:
-                assert abs(direct - in_coords) <= 1e-10 * max(1.0, abs(direct)), tag
+            # psi's table holds the cells and logs of psi_cells, so the one
+            # kernel gives one value to the bit.
+            assert direct == in_coords, (tag, direct, in_coords)
 
     @given(DOMAIN_COORDS)
     @settings(max_examples=300, deadline=None)
@@ -405,6 +435,12 @@ class TestMarginLimits:
         for x, other in ((1.2, -0.5), (-0.8, 1.7)):
             t = psi(MarginCoords(x, 30.0, other))
             assert evaluate(kind, t) == pytest.approx(0.0, abs=1e-6)
+
+    def test_intermediate_overflow_raises_not_nan(self):
+        # 2x and x + other both overflow; their difference must not be a
+        # silent nan.
+        with pytest.raises(FloatingPointError):
+            margin_limit(MeasureKind("d_prime"), 1e308, "y", "+", 1e308)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twobytwo import (
+    BinaryMatrix,
     DegenerateTable,
     MeasureKind,
     ParseError,
@@ -369,17 +370,46 @@ class TestScan:
         with pytest.raises(FloatingPointError):
             scan(m, [d, y], y, top_k=1, pseudocount=1e-320)
 
-    def test_values_equal_the_scalar_api_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "matrix,pseudocount",
+        [
+            (matrix_from(random_matrix(300, 12, seed=17)), 0.5),
+            # A table total summed in another order than ProbTable's changes
+            # the last bits of some cells here.
+            (matrix_from(random_matrix(1000, 12, seed=17)), 0.1),
+        ],
+        ids=["300x12-0.5", "1000x12-0.1"],
+    )
+    def test_values_equal_the_scalar_api_bit_for_bit(self, matrix, pseudocount):
         # Ranking ties are exact ties of these values, so the bulk kernels must
         # agree with evaluate() on the pair's own table to the last bit.
-        m = matrix_from(random_matrix(300, 12, seed=17))
         kinds = [MeasureKind.from_cli(name) for name in CLI_NAMES]
-        results = scan(m, kinds, kinds[-1], top_k=66)
+        results = scan(matrix, kinds, kinds[-1], top_k=66, pseudocount=pseudocount)
         for r in results:
-            table = counts_to_table(r.counts, 0.5)
+            table = counts_to_table(r.counts, pseudocount)
             for kind in kinds:
                 assert type(r.values[kind]) is float
                 assert r.values[kind] == evaluate(kind, table), (r.id_a, r.id_b, kind)
+
+    def test_values_do_not_depend_on_marker_order(self):
+        # Reversing the columns transposes the table of every pair, which
+        # leaves all twelve measures, so each pair keeps its values to the bit.
+        m = matrix_from(random_matrix(1000, 12, seed=17))
+        flipped = BinaryMatrix(m.marker_ids[::-1], np.ascontiguousarray(m.data[:, ::-1]))
+        kinds = [MeasureKind.from_cli(name) for name in CLI_NAMES]
+
+        def values_by_pair(matrix):
+            results = scan(matrix, kinds, kinds[-1], top_k=66, pseudocount=0.1)
+            return {frozenset((r.id_a, r.id_b)): [r.values[k] for k in kinds] for r in results}
+
+        assert values_by_pair(flipped) == values_by_pair(m)
+
+    def test_rank_by_ignores_n_of_a_measure_that_does_not_read_it(self):
+        m = matrix_from(SMALL)
+        results = scan(m, [MeasureKind("yule_y", 2.0)], MeasureKind("yule_y"), 2)
+        assert [r.values for r in results] == [
+            r.values for r in scan(m, [MeasureKind("yule_y")], MeasureKind("yule_y"), 2)
+        ]
 
 
 class TestRender:

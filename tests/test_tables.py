@@ -51,7 +51,14 @@ class TestMakeTable:
 
     @pytest.mark.parametrize(
         "cells",
-        [(0, 1, 1, 1), (-0.1, 1, 1, 1), (math.nan, 1, 1, 1), (math.inf, 1, 1, 1)],
+        [
+            (0, 1, 1, 1),
+            (-0.1, 1, 1, 1),
+            (math.nan, 1, 1, 1),
+            (math.inf, 1, 1, 1),
+            # Every weight is finite, but their sum is not.
+            (1e308, 1e308, 1, 1),
+        ],
     )
     def test_rejects_bad_weights(self, cells):
         with pytest.raises(DegenerateTable):
