@@ -23,17 +23,13 @@ __all__ = ["main", "table1_rows"]
 TABLE1_ODDS_RATIOS = (1, 2, 5, 10, 20, 50, 100)
 
 
-def _table1_yz(x):
-    return ((0.0, 0.0), (x, -x), (10.0, -10.0), (10.0, -x), (10.0, 10.0))
-
-
-def table1_rows(n=DEFAULT_HS_N):
-    """(p00, p01, p10, p11, odds_ratio, Y, r, Dprime, HS_n) for all 35 rows."""
-    kinds = [MeasureKind(tag, n) for tag in ("yule_y", "corr_r", "d_prime", "hs")]
+def table1_rows():
+    """(p00, p01, p10, p11, odds_ratio, Y, r, Dprime, HS_4) for all 35 rows."""
+    kinds = [MeasureKind(tag) for tag in ("yule_y", "corr_r", "d_prime", "hs")]
     rows = []
     for lam in TABLE1_ODDS_RATIOS:
         x = 0.5 * math.log(lam)
-        for y, z in _table1_yz(x):
+        for y, z in ((0.0, 0.0), (x, -x), (10.0, -10.0), (10.0, -x), (10.0, 10.0)):
             table = psi(MarginCoords(x, y, z))
             rows.append(
                 table.cells + (lam,) + tuple(evaluate(k, table) for k in kinds)
@@ -149,7 +145,8 @@ def critical(odds_ratio):
     help="measure name (repeatable); the first one ranks unless --rank-by is set",
 )
 @click.option("--rank-by", default=None, help="measure name to rank pairs by")
-@click.option("--top", default=10, show_default=True, help="number of pairs to report")
+@click.option("--top", default=10, show_default=True, type=click.IntRange(min=1),
+              help="number of pairs to report")
 @click.option(
     "--pseudocount",
     default=0.5,
@@ -168,6 +165,8 @@ def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, outp
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    if not (math.isfinite(pseudocount) and pseudocount >= 0.0):
+        raise click.UsageError(f"--pseudocount must be finite and >= 0, got {pseudocount!r}")
     if rank_kind not in kinds:
         raise click.UsageError("--rank-by must be one of the requested measures")
     try:

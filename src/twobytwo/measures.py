@@ -79,7 +79,8 @@ def _log_margins(l):
 def _log_e2x_minus_1(x):
     """log |e^{2x} - 1| for x != 0; 0 at x = 0, where callers scale by sign(x)."""
     a = abs(x)
-    return a + x + np.log((a == 0.0) - np.expm1(-2.0 * a))
+    # Past a = 19, 1 - e^{-2a} rounds to 1; the cap keeps -2a from overflowing.
+    return a + x + np.log((a == 0.0) - np.expm1(-2.0 * np.minimum(a, 19.0)))
 
 
 def _det_over(l, log_den):
@@ -172,8 +173,10 @@ def _d_prime_limit(x, s, other, n):
 
 
 def _hs_limit(x, s, other, n):
-    # The limit table keeps a single binary split, in the ratio 1 : e^a.
-    a = x + s * other
+    # The limit table keeps a single binary split, in the ratio 1 : e^a.  Past
+    # |a| = 800 its smaller side underflows to 0, so a is capped there.
+    with np.errstate(over="ignore"):
+        a = np.clip(x + s * other, -800.0, 800.0)
     l0, l1 = -_logaddexp(0.0, a), -_logaddexp(-a, 0.0)
     h_split = _entropy((np.exp(l0), np.exp(l1), 0.0, 0.0), (l0, l1, 0.0, 0.0), n)
     return _weighted_y(_tanh_half_x(x), n, _entropy_diag_x(x) - h_split)

@@ -191,8 +191,8 @@ def count_pair(matrix, i, j):
 
 def counts_to_table(counts, pseudocount):
     """Probability table proportional to count + pseudocount per cell."""
-    if pseudocount < 0.0:
-        raise ValueError(f"pseudocount must be >= 0, got {pseudocount!r}")
+    if not (np.isfinite(pseudocount) and pseudocount >= 0.0):
+        raise ValueError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
     cells = [c + pseudocount for c in counts]
     if any(c <= 0.0 for c in cells):
         raise DegenerateTable(

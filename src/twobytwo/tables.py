@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -64,30 +64,22 @@ class ProbTable:
 
     Raw positive weights are accepted (e.g. counts plus pseudocounts); the
     constructor divides by their ``cell_total``, so entries are proportional
-    to the inputs and sum to 1.  The attribute ``logs`` holds the natural
-    logs of the normalised cells, exact where a cell rounds to 1 or to a
-    subnormal: ``log_cells`` of the weights, or ``exact_logs`` if given by
-    ``psi`` or ``symmetry_apply``, whose normalised cells are kept as given.
-    The measures and ``theta`` read the logs.
+    to the inputs and sum to 1.  ``logs``, which the measures and ``theta``
+    read, holds ``log_cells`` of the weights: the natural logs of the
+    normalised cells, exact where a cell rounds to 1 or to a subnormal.
     """
 
     p00: float
     p01: float
     p10: float
     p11: float
-    exact_logs: InitVar[tuple | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self, exact_logs):
+    def __post_init__(self):
         cells = [_check_positive(v, f"cell {n}") for n, v in zip(_CELL_NAMES, self.cells)]
-        if exact_logs is None:
-            total = cell_total(cells)
-            if not math.isfinite(total):
-                raise DegenerateTable(f"cells do not have a finite positive sum: {cells}")
-            exact_logs = log_cells(np.array(cells)).tolist()
-            cells = [value / total for value in cells]
-        for name, value in zip(_CELL_NAMES, cells):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "logs", tuple(map(float, exact_logs)))
+        total = cell_total(cells)
+        if not math.isfinite(total):
+            raise DegenerateTable(f"cells do not have a finite positive sum: {cells}")
+        _set_cells(self, [v / total for v in cells], log_cells(np.array(cells)).tolist())
 
     @property
     def cells(self):
@@ -149,20 +141,25 @@ class BoundaryClass:
     detail: str
 
 
-def make_table(p00, p01, p10, p11):
-    """Build a ProbTable from raw positive weights (renormalised)."""
-    return ProbTable(p00, p01, p10, p11)
+make_table = ProbTable
+
+
+def _set_cells(table, cells, logs):
+    """Set a frozen table's normalised cells and their logs as they are; return it."""
+    table.__dict__.update(zip(_CELL_NAMES, cells), logs=tuple(logs))
+    return table
 
 
 def margin_transform(t, mu, nu):
     """Multiply row 0 by mu, column 0 by nu, and renormalise.
 
-    Maps (p00, p01; p10, p11) to (mu*nu*p00, mu*p01; nu*p10, p11) / norm.
-    Preserves the odds-ratio; composes multiplicatively in (mu, nu).
+    Maps (p00, p01; p10, p11) to (mu*nu*p00, mu*p01; nu*p10, p11) / norm: the
+    translation (y, z) -> (y + ln mu, z + ln nu) at fixed x = ln sqrt(odds-ratio),
+    so the table is ``psi`` of the shifted ``theta(t)``, with exact logs.
     """
-    mu = _check_positive(mu, "mu")
-    nu = _check_positive(nu, "nu")
-    return ProbTable(mu * nu * t.p00, mu * t.p01, nu * t.p10, t.p11)
+    ln_mu, ln_nu = math.log(_check_positive(mu, "mu")), math.log(_check_positive(nu, "nu"))
+    c = theta(t)
+    return psi(MarginCoords(c.x, c.y + ln_mu, c.z + ln_nu))
 
 
 def theta(t):
@@ -239,7 +236,7 @@ def _log_total(weights):
 def psi(c):
     """Inverse of theta: the table of psi_cells at c, with its exact logs."""
     cells, logs = psi_cells(c.x, c.y, c.z)
-    return ProbTable(*cells.tolist(), exact_logs=logs.tolist())
+    return _set_cells(object.__new__(ProbTable), cells.tolist(), logs.tolist())
 
 
 # The cell order of each symmetry; the logs move with the cells.
@@ -259,7 +256,7 @@ def symmetry_apply(t, op):
     if op in _SYMMETRY_OPS:
         order = _SYMMETRY_OPS[op]
         cells, logs = ([v[i] for i in order] for v in (t.cells, t.logs))
-        return ProbTable(*cells, exact_logs=logs)
+        return _set_cells(object.__new__(ProbTable), cells, logs)
     raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -379,6 +380,23 @@ class TestScan:
         assert "hs needs n >= 0" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--top", "0"], "0 is not in the range x>=1"),
+            (["--top", "-3"], "-3 is not in the range x>=1"),
+            (["--pseudocount", "-0.5"], "--pseudocount must be finite and >= 0, got -0.5"),
+            (["--pseudocount", "nan"], "--pseudocount must be finite and >= 0, got nan"),
+            (["--pseudocount", "inf"], "--pseudocount must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_bad_top_or_pseudocount_exits_2(self, runner, tmp_path, args, message):
+        path = self.make_input(tmp_path)
+        result = runner.invoke(main, ["scan", str(path), "--measure", "Y"] + args)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "Traceback" not in result.output
+
     def test_jobs_flag_matches_serial(self, runner, tmp_path):
         path = self.make_input(tmp_path, n_markers=8)
         serial = runner.invoke(main, ["scan", str(path), "--measure", "HS"])
@@ -406,6 +424,10 @@ class TestTable1:
         assert first[:4] == pytest.approx((0.25,) * 4)
         assert first[4] == 1
         assert first[5:] == pytest.approx((0.0,) * 4, abs=1e-12)
+
+    def test_rows_helper_takes_no_hs_exponent(self):
+        # The reference table is HS_4 by definition.
+        assert not inspect.signature(table1_rows).parameters
 
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "table1.csv"

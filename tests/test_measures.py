@@ -442,6 +442,18 @@ class TestMarginLimits:
         with pytest.raises(FloatingPointError):
             margin_limit(MeasureKind("d_prime"), 1e308, "y", "+", 1e308)
 
+    @pytest.mark.parametrize(
+        "tag,x,axis,direction,other,want",
+        [
+            # -2|x| overflows in log |e^{2x} - 1|.
+            ("d_prime", -1e308, "z", "-", 1e308, -0.5),
+            # x + other overflows; the split 1 : e^inf has no entropy.
+            ("hs", 1e308, "y", "+", 1e308, 1.0),
+        ],
+    )
+    def test_intermediate_overflow_with_a_finite_limit(self, tag, x, axis, direction, other, want):
+        assert margin_limit(MeasureKind(tag), x, axis, direction, other) == want
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             margin_limit(MeasureKind("yule_y"), 1.0, "x", "+", 0.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -231,6 +232,12 @@ class TestCountsToTable:
         with pytest.raises(ValueError):
             counts_to_table((1, 1, 1, 1), -0.1)
 
+    @pytest.mark.parametrize("pseudocount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pseudocount(self, pseudocount):
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
+            counts_to_table((1, 1, 1, 1), pseudocount)
+        assert not isinstance(info.value, DegenerateTable)
+
     def test_shrinkage_reduces_association(self):
         counts = (50, 0, 25, 25)
         magnitudes = [
@@ -266,6 +273,14 @@ class TestScan:
             scan(m, [q], y, top_k=5)
         with pytest.raises(ValueError):
             scan(m, [q], q, top_k=0)
+
+    @pytest.mark.parametrize("pseudocount", [-0.5, math.nan, math.inf])
+    def test_bad_pseudocount_is_not_blamed_on_a_pair(self, pseudocount):
+        m = matrix_from(SMALL)
+        q = MeasureKind("yule_q")
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
+            scan(m, [q], q, top_k=5, pseudocount=pseudocount)
+        assert not isinstance(info.value, DegenerateTable)
 
     def test_jobs_do_not_change_output(self):
         m = matrix_from(random_matrix(300, 12, seed=13))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -24,6 +25,7 @@ from twobytwo import (
     ray_limit,
     symmetry_apply,
     theta,
+    yule_y,
 )
 from conftest import max_roundtrip_error, random_tables
 
@@ -74,6 +76,14 @@ class TestMakeTable:
         with pytest.raises(DegenerateTable):
             ProbTable(flag, 1, 1, 1)
 
+    def test_make_table_is_the_constructor(self):
+        assert make_table is ProbTable
+
+    def test_the_four_cells_are_the_only_parameters(self):
+        assert list(inspect.signature(ProbTable).parameters) == ["p00", "p01", "p10", "p11"]
+        with pytest.raises(TypeError):
+            ProbTable(1, 2, 3, 4, exact_logs=(0.0, 0.0, 0.0, 0.0))
+
     def test_margins_and_det(self):
         t = make_table(0.4, 0.1, 0.2, 0.3)
         assert t.row0 == pytest.approx(0.5)
@@ -118,6 +128,27 @@ class TestMarginTransform:
         t = make_table(0.4, 0.1, 0.2, 0.3)
         got = margin_transform(t, np.float32(2.0), np.float32(0.5))
         assert got == margin_transform(t, 2.0, 0.5)
+
+    def test_identity_keeps_a_table_far_out(self):
+        # p10 = e^-800 is floored to a subnormal in the cells, not in the logs.
+        t = margin_transform(psi(MarginCoords(1, 400, -400)), 1, 1)
+        c = theta(t)
+        assert (c.x, c.y, c.z) == pytest.approx((1.0, 400.0, -400.0), rel=1e-13)
+        assert abs(yule_y(t) - 0.46211715726000974) <= 1e-12
+
+    @given(
+        st.tuples(*[st.floats(-500, 500) for _ in range(3)]),
+        st.floats(-50, 50),
+        st.floats(-50, 50),
+    )
+    @settings(max_examples=300)
+    def test_is_a_translation_of_the_margin_coordinates(self, xyz, log_mu, log_nu):
+        c = MarginCoords(*xyz)
+        mu, nu = math.exp(log_mu), math.exp(log_nu)
+        got = theta(margin_transform(psi(c), mu, nu))
+        want = (c.x, c.y + math.log(mu), c.z + math.log(nu))
+        for g, w in zip((got.x, got.y, got.z), want):
+            assert abs(g - w) <= 1e-10 * max(1.0, abs(w)), (xyz, log_mu, log_nu)
 
     @pytest.mark.parametrize("mu,nu", [(0, 1), (1, 0), (-2, 1), (math.nan, 1)])
     def test_rejects_bad_scalars(self, mu, nu):
