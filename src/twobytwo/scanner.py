@@ -34,6 +34,11 @@ _NOT_A_TOKEN = -2
 _BYTE_TOKENS = np.full(256, _NOT_A_TOKEN, dtype=np.int8)
 _BYTE_TOKENS[[ord("0"), ord("1"), ord("N")]] = [0, 1, _MISSING]
 
+# Pairs per tile of scan: its 4 x pairs arrays of counts, cells and logs stay
+# in cache.  Tiles of 4,096 pairs paid more in per-tile overhead, and tiles
+# of 32,768 were slower on 300 markers.
+_TILE_PAIRS = 16384
+
 
 class ParseError(ValueError):
     """Malformed scanner input; carries 1-based line and column numbers."""
@@ -206,66 +211,98 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
 
     The counts of every pair come from three matrix products, in float32
     when n_samples <= 2**24, where its integer sums are exact, and in
-    float64 above.  rank_by is evaluated over all pairs.  Only the pairs
-    whose |value| is at least the top_k-th largest, every tie included, are
-    sorted on (-|value|, id_a, id_b), and the other measures are evaluated
-    on the top_k pairs alone: a measure that would fail only on a pair
-    outside them does not fail the scan.  ``jobs`` is ignored; it is kept
-    for compatibility.
+    float64 above.  Pairs (i, j), j > i, are numbered in ``np.triu_indices``
+    order and walked in tiles of about ``_TILE_PAIRS`` pairs, whole rows of
+    markers each: a tile gathers its counts, adds the pseudocount and
+    evaluates rank_by on its cells and logs, and only -|value| of each pair
+    is kept.  The pairs whose |value| is at least the top_k-th largest,
+    every tie included, are sorted on (-|value|, id_a, id_b); the top_k
+    get their counts gathered again and every measure evaluated on them
+    alone, so a measure that would fail only on a pair outside them does
+    not fail the scan.  ``jobs`` is ignored; it is kept for compatibility.
     """
     if rank_by not in measures:
         raise ValueError("rank_by must be one of the requested measures")
     if top_k <= 0:
         raise ValueError(f"top_k must be positive, got {top_k!r}")
     ids = matrix.marker_ids
-    ia, ib = np.triu_indices(matrix.n_markers, 1)
-    if ia.size == 0:
+    n_markers = matrix.n_markers
+    if n_markers < 2:
         return []
 
     dtype = np.float32 if matrix.n_samples <= 2**24 else np.float64
     seen = (matrix.data != _MISSING).astype(dtype)
     ones = (matrix.data == 1).astype(dtype)
-    n = (seen.T @ seen)[ia, ib]
-    n11 = (ones.T @ ones)[ia, ib]
-    # (seen.T @ ones)[a, b] is (ones.T @ seen)[b, a].
     ones_seen = ones.T @ seen
-    n10 = ones_seen[ia, ib] - n11
-    n01 = ones_seen[ib, ia] - n11
-    counts = np.stack([n - n11 - n10 - n01, n01, n10, n11])
-    cells = np.add(counts, pseudocount, dtype=np.float64)
+    # At [i, j]: n, n11, n10 + n11 and n01 + n11 of the pair (i, j), as
+    # (seen.T @ ones)[i, j] is (ones.T @ seen)[j, i].
+    grams = seen.T @ seen, ones.T @ ones, ones_seen, ones_seen.T
+    del seen, ones  # freed before the array of one float per pair
+    # row_start[i] is the number of the pair (i, i + 1), the first of row i.
+    row_start = np.cumsum(np.arange(n_markers, 0, -1)) - n_markers
+    n_pairs = int(row_start[-1])
 
-    # counts_to_table decides which pairs have a table: check the first pair,
-    # where a bad pseudocount fails, and the first pair with a zero cell.
-    first_zero_cell = np.flatnonzero((cells <= 0.0).any(axis=0))[:1]
-    for k in [0] + first_zero_cell.tolist():
+    def pairs(k):
+        """(i, j) of the pairs numbered k."""
+        i = np.searchsorted(row_start, k, side="right") - 1
+        return i, k - row_start[i] + i + 1
+
+    def table_or_raise(k, counts):
+        # counts_to_table decides which pairs have a table.
         try:
-            counts_to_table(tuple(int(c) for c in counts[:, k]), pseudocount)
+            counts_to_table(tuple(int(c) for c in counts), pseudocount)
         except DegenerateTable as exc:
-            raise DegenerateTable(f"pair ({ids[ia[k]]}, {ids[ib[k]]}): {exc}") from exc
+            i, j = pairs(k)
+            raise DegenerateTable(f"pair ({ids[i]}, {ids[j]}): {exc}") from exc
 
-    # The cells and logs that ProbTable gives each pair's table.
-    probs = cells / cell_total(cells)
-    logs = log_cells(cells)
-    rank_values = rank_by.on_cells(probs, logs)
-    key = -np.abs(rank_values)
-    candidates = np.arange(key.size)
-    if top_k < key.size:
+    key = np.empty(n_pairs)
+    row = 0
+    while row < n_markers - 1:
+        lo = row_start[row]
+        # Whole rows, as many as fit in _TILE_PAIRS pairs, at least one.
+        stop = max(row + 1, np.searchsorted(row_start, lo + _TILE_PAIRS, side="right") - 1)
+        upper = np.arange(n_markers) > np.arange(row, stop)[:, None]
+        counts = _counts(*(g[row:stop][upper] for g in grams))
+        cells = np.add(counts, pseudocount, dtype=np.float64)
+        # The first pair, where a bad pseudocount fails, then the first pair
+        # with a zero cell, in pair order.
+        if row == 0:
+            table_or_raise(0, counts[:, 0])
+        for k in np.flatnonzero((cells <= 0.0).any(axis=0))[:1].tolist():
+            table_or_raise(lo + k, counts[:, k])
+        rank_values = rank_by.on_cells(*_probs_and_logs(cells))
+        np.negative(np.abs(rank_values), out=key[lo : row_start[stop]])
+        row = stop
+
+    if top_k < n_pairs:
         candidates = np.flatnonzero(key <= np.partition(key, top_k - 1)[top_k - 1])
+    else:
+        candidates = np.arange(n_pairs)
     _, id_rank = np.unique(ids, return_inverse=True)
-    a, b = id_rank[ia[candidates]], id_rank[ib[candidates]]
-    top = candidates[np.lexsort((b, a, key[candidates]))[:top_k]]
+    a, b = (id_rank[v] for v in pairs(candidates))
+    top_a, top_b = pairs(candidates[np.lexsort((b, a, key[candidates]))[:top_k]])
 
-    top_probs, top_logs = probs[:, top], logs[:, top]
-    values = {
-        kind: rank_values[top] if kind == rank_by else kind.on_cells(top_probs, top_logs)
-        for kind in measures
-    }
+    counts = _counts(*(g[top_a, top_b] for g in grams))
+    cells = np.add(counts, pseudocount, dtype=np.float64)
+    top_probs, top_logs = _probs_and_logs(cells)
+    values = {kind: kind.on_cells(top_probs, top_logs) for kind in measures}
     results = []
-    for k, c in enumerate(counts[:, top].T.astype(np.int64).tolist()):
+    for k, c in enumerate(counts.T.astype(np.int64).tolist()):
         values_k = {kind: float(v[k]) for kind, v in values.items()}
-        pair = top[k]
-        results.append(PairResult(ids[ia[pair]], ids[ib[pair]], tuple(c), sum(c), values_k))
+        results.append(PairResult(ids[top_a[k]], ids[top_b[k]], tuple(c), sum(c), values_k))
     return results
+
+
+def _counts(n, n11, n1_, n_1):
+    """(n00, n01, n10, n11) from n, n11 and the 1-counts n10 + n11, n01 + n11."""
+    n10 = n1_ - n11
+    n01 = n_1 - n11
+    return np.stack([n - n11 - n10 - n01, n01, n10, n11])
+
+
+def _probs_and_logs(cells):
+    """The cells and logs that ProbTable gives the table of each column of cells."""
+    return cells / cell_total(cells), log_cells(cells)
 
 
 def render_results(results, measures):

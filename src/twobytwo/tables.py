@@ -46,6 +46,10 @@ class DegenerateTable(ValueError):
 # smallest subnormal instead of 0, so the result stays on the open manifold.
 _EXP_FLOOR = -744.0
 
+# Up to this |coordinate| no step of psi_cells overflows: an exponent is at
+# most 1.5 times it, so the log-ratio of two cells at most 3 times.
+_PSI_NO_OVERFLOW = 2.0**1022
+
 _CELL_NAMES = ("p00", "p01", "p10", "p11")
 
 
@@ -234,8 +238,19 @@ def _log_total(weights):
 
 
 def psi(c):
-    """Inverse of theta: the table of psi_cells at c, with its exact logs."""
-    cells, logs = psi_cells(c.x, c.y, c.z)
+    """Inverse of theta: the table of psi_cells at c, with its exact logs.
+
+    Raises DegenerateTable where a log (and so a cell) is not finite: the
+    log-ratio of two cells, such as x + y, overflows, which takes some
+    |coordinate| above 8.9e307.
+    """
+    if max(abs(c.x), abs(c.y), abs(c.z)) <= _PSI_NO_OVERFLOW:
+        cells, logs = psi_cells(c.x, c.y, c.z)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells, logs = psi_cells(c.x, c.y, c.z)
+        if not np.isfinite(logs).all():
+            raise DegenerateTable(f"the table at {c} has a cell or log that is not finite")
     return _set_cells(object.__new__(ProbTable), cells.tolist(), logs.tolist())
 
 

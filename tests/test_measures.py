@@ -454,6 +454,20 @@ class TestMarginLimits:
     def test_intermediate_overflow_with_a_finite_limit(self, tag, x, axis, direction, other, want):
         assert margin_limit(MeasureKind(tag), x, axis, direction, other) == want
 
+    @pytest.mark.parametrize(
+        "x,axis,direction,other,want",
+        [
+            # 2x overflows; the limit (1 - e^-2x) / (1 + e^(other - x)) is 1.
+            (9.1e307, "z", "+", 795.8, 1.0),
+            # 2x - (x - other) overflows.
+            (8e307, "y", "-", 1e308, 1.0),
+            # x - s * other overflows; the limit is -(1 - e^2x) = -1.
+            (-9.6e307, "z", "-", -9.2e307, -1.0),
+        ],
+    )
+    def test_d_prime_with_x_near_the_largest_double(self, x, axis, direction, other, want):
+        assert margin_limit(MeasureKind("d_prime"), x, axis, direction, other) == want
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             margin_limit(MeasureKind("yule_y"), 1.0, "x", "+", 0.0)

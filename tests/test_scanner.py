@@ -21,6 +21,7 @@ from twobytwo import (
     scan,
     yule_y,
 )
+from twobytwo import scanner
 from twobytwo.measures import CLI_NAMES
 from twobytwo.scanner import _decode, _parse_canonical, _parse_lines, render_results
 
@@ -425,6 +426,125 @@ class TestScan:
         assert [r.values for r in results] == [
             r.values for r in scan(m, [MeasureKind("yule_y")], MeasureKind("yule_y"), 2)
         ]
+
+
+DEFAULT_TILE_PAIRS = scanner._TILE_PAIRS
+
+
+def pairs_of_each_tile(monkeypatch, matrix, kind):
+    """The pair count of each tile that scan evaluates rank_by on."""
+    sizes = []
+    original = scanner._probs_and_logs
+
+    def spy(cells):
+        sizes.append(cells.shape[1])
+        return original(cells)
+
+    with monkeypatch.context() as m:
+        m.setattr(scanner, "_probs_and_logs", spy)
+        scan(matrix, [kind], kind, top_k=1)
+    return sizes[:-1]  # the last call is the top_k's
+
+
+def scan_with_default_tiles(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(scanner, "_TILE_PAIRS", DEFAULT_TILE_PAIRS)
+        return scan(*args, **kwargs)
+
+
+class TestTiles:
+    # 12 markers: rows of 11, 10, ..., 1 pairs, 66 pairs in all.
+    @pytest.fixture(params=["one row per tile", "a partial last tile"])
+    def tiles(self, request, monkeypatch):
+        """Pair counts of the tiles of a scan of 12 markers."""
+        if request.param == "one row per tile":
+            monkeypatch.setattr(scanner, "_TILE_PAIRS", 1)
+            return list(range(11, 0, -1))
+        # Rows of 11 + 10 + 9 and 8 + 7 + 6 + 5 + 4 fill 30 pairs; 3 + 2 + 1 remain.
+        monkeypatch.setattr(scanner, "_TILE_PAIRS", 30)
+        return [30, 30, 6]
+
+    def test_tiles_are_whole_rows(self, tiles, monkeypatch):
+        m = matrix_from(random_matrix(50, 12, seed=30))
+        assert pairs_of_each_tile(monkeypatch, m, MeasureKind("yule_y")) == tiles
+
+    @pytest.mark.parametrize("pseudocount", [0.5, 0.1])
+    def test_results_equal_the_default_tiles_and_count_pair(self, tiles, monkeypatch, pseudocount):
+        rng = np.random.default_rng(31)
+        data = rng.choice(np.array(["0", "1", "NA"]), size=(300, 12), p=[0.5, 0.4, 0.1])
+        ids = [f"m{k}" for k in range(12)]
+        m = matrix_from("\n".join(["\t".join(ids)] + ["\t".join(row) for row in data]))
+        kinds = [MeasureKind.from_cli(name) for name in CLI_NAMES]
+        for rank_by in (kinds[0], kinds[-1]):
+            got = scan(m, kinds, rank_by, top_k=66, pseudocount=pseudocount)
+            assert got == scan_with_default_tiles(
+                monkeypatch, m, kinds, rank_by, top_k=66, pseudocount=pseudocount
+            )
+            assert len(got) == 66
+            for r in got:
+                assert r.counts == count_pair(m, ids.index(r.id_a), ids.index(r.id_b))
+
+    def test_zero_pseudocount_names_the_first_zero_cell_pair_of_a_later_tile(
+        self, tiles, monkeypatch
+    ):
+        # m9 copies m8 and m11 is the complement of m10: (m8, m9) and
+        # (m10, m11) are the only pairs with a zero cell, in the last rows.
+        rng = np.random.default_rng(32)
+        data = rng.integers(0, 2, size=(200, 12))
+        data[:, 9] = data[:, 8]
+        data[:, 11] = 1 - data[:, 10]
+        ids = [f"m{k}" for k in range(12)]
+        m = matrix_from("\n".join(["\t".join(ids)] + ["\t".join(map(str, row)) for row in data]))
+        kind = MeasureKind("yule_y")
+        with pytest.raises(DegenerateTable) as err:
+            scan(m, [kind], kind, top_k=3, pseudocount=0.0)
+        assert str(err.value).startswith("pair (m8, m9): zero cell")
+        with pytest.raises(DegenerateTable) as want:
+            scan_with_default_tiles(monkeypatch, m, [kind], kind, top_k=3, pseudocount=0.0)
+        assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("pseudocount", [-0.5, math.nan, math.inf])
+    def test_bad_pseudocount_is_not_blamed_on_a_pair(self, tiles, pseudocount):
+        m = matrix_from(random_matrix(40, 12, seed=33))
+        q = MeasureKind("yule_q")
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
+            scan(m, [q], q, top_k=5, pseudocount=pseudocount)
+        assert not isinstance(info.value, DegenerateTable)
+
+    @pytest.mark.parametrize("top_k", [1, 3, 10, 11, 12, 25, 66])
+    def test_ties_across_tiles_follow_a_full_sort(self, tiles, top_k):
+        # Copies of three columns: pairs with one table lie in every tile.
+        rng = np.random.default_rng(34)
+        base = rng.integers(0, 2, size=(60, 3)).astype(str)
+        columns = [0, 1, 0, 0, 1, 0, 2, 1, 0, 1, 0, 1]
+        ids = ["m9", "m10", "m1", "m2", "m11", "m20", "m3", "m0", "m100", "m12", "m5", "m4"]
+        m = matrix_from("\n".join(["\t".join(ids)] + ["\t".join(row[columns]) for row in base]))
+        kind = MeasureKind("yule_y")
+        pairs = []
+        for i in range(12):
+            for j in range(i + 1, 12):
+                v = evaluate(kind, counts_to_table(count_pair(m, i, j), 0.5))
+                pairs.append((-abs(v), ids[i], ids[j], v))
+        want = sorted(pairs)[:top_k]
+        results = scan(m, [kind], kind, top_k=top_k)
+        assert [(r.id_a, r.id_b, r.values[kind]) for r in results] == [w[1:] for w in want]
+
+    @pytest.mark.parametrize("top_k", [1, 2, 100])
+    def test_two_markers(self, tiles, top_k):
+        m = matrix_from(random_matrix(30, 2, seed=35))
+        kind = MeasureKind("hs")
+        (r,) = scan(m, [kind], kind, top_k=top_k)
+        assert (r.id_a, r.id_b) == ("m0", "m1")
+        assert r.counts == count_pair(m, 0, 1)
+        assert r.values[kind] == evaluate(kind, counts_to_table(r.counts, 0.5))
+
+    def test_top_k_at_or_above_the_pair_count(self, tiles, monkeypatch):
+        m = matrix_from(random_matrix(80, 12, seed=36))
+        kind = MeasureKind("corr_r")
+        everything = scan(m, [kind], kind, top_k=66)
+        assert len(everything) == 66
+        assert scan(m, [kind], kind, top_k=10**6) == everything
+        assert everything == scan_with_default_tiles(monkeypatch, m, [kind], kind, top_k=66)
 
 
 class TestRender:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from twobytwo import (
     BoundaryKind,
     DegenerateTable,
     MarginCoords,
+    MeasureKind,
     ProbTable,
     log_cells,
     make_table,
@@ -229,6 +231,23 @@ class TestCoordinates:
     def test_coords_must_be_finite(self):
         with pytest.raises(ValueError):
             MarginCoords(math.inf, 0, 0)
+
+    @pytest.mark.parametrize(
+        # x + y + z, or the log-ratio of two cells, overflows.
+        "coords", [(1e308, 1e308, 1e308), (-1e308, 0.0, 1e308), (0.0, 1.7e308, -1.7e308)]
+    )
+    def test_psi_with_a_log_that_is_not_finite_is_degenerate(self, coords):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTable, match="not finite"):
+                psi(MarginCoords(*coords))
+        # The array form keeps raising where the kernels run under errstate.
+        with pytest.raises(FloatingPointError):
+            MeasureKind("yule_y").on_coords(*coords)
+
+    def test_psi_is_finite_up_to_half_the_largest_double(self):
+        t = psi(MarginCoords(8.9e307, -8.9e307, 8.9e307))
+        assert all(math.isfinite(v) for v in t.cells + t.logs)
 
     @given(
         st.tuples(
