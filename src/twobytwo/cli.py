@@ -11,7 +11,7 @@ from click.utils import LazyFile
 from .critical import DomainError, critical_points
 from .grids import GridSpec, emit_grid
 from .measures import CLI_NAMES, DEFAULT_HS_N, MeasureKind, evaluate
-from .scanner import ParseError, load_matrix, render_results, scan
+from .scanner import load_matrix, render_results, scan
 from .tables import DegenerateTable, MarginCoords, ProbTable, psi
 
 __all__ = ["main", "table1_rows"]
@@ -172,7 +172,7 @@ def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, outp
     try:
         matrix = load_matrix(input_file)
         results = scan(matrix, kinds, rank_kind, top, pseudocount, jobs)
-    except (ParseError, DegenerateTable, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise click.ClickException(str(exc)) from None
     output.write(render_results(results, kinds).encode("utf-8"))
 

@@ -164,21 +164,13 @@ def _zero_limit(*_):
 
 
 def _d_prime_limit(x, s, other, n):
-    # Same two-case formula for y->+-inf (other = z) and z->+-inf (other = y).
-    if x > 0:
-        # (1 - e^-2x) / (1 + e^(s * other - x)) rounds to 1 where x >= 19 and
-        # x - s * other >= 800, and there 2x, or its distance to x + s * other,
-        # may overflow.  The distance is tested in halves, which cannot.
-        if x >= 19.0 and 0.5 * x - 0.5 * s * other >= 400.0:
-            return 1.0
-        log_den = _logaddexp(2.0 * x, x + s * other)
-    else:
-        # Past |x - s * other| = 800 the limit no longer moves (e^-800 is 0),
-        # so an overflow of the difference is capped there.
-        with np.errstate(over="ignore"):
-            t = np.clip(x - s * other, -800.0, 800.0)
-        log_den = _logaddexp(t, 0.0)
-    return np.sign(x) * np.exp(_log_e2x_minus_1(x) - log_den)
+    # sign(x) (1 - e^-2|x|) / (1 + e^t), t = sign(x) s other - |x|, for
+    # y -> +-inf (other = z) and z -> +-inf (other = y).  Past |t| = 800 the
+    # limit no longer moves (e^-800 is 0), so an overflow of t is capped there.
+    a, sign = abs(x), np.sign(x)
+    with np.errstate(over="ignore"):
+        t = np.clip(sign * s * other - a, -800.0, 800.0)
+    return sign * np.exp(_log_e2x_minus_1(-a) - _logaddexp(t, 0.0))
 
 
 def _hs_limit(x, s, other, n):

@@ -8,13 +8,15 @@ ranks pairs by the absolute value of a chosen measure.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # evaluate is not called here; perfbench/tracing.py wraps scanner.evaluate.
 from .measures import MeasureKind, evaluate
-from .tables import DegenerateTable, ProbTable, cell_total, log_cells
+from .tables import DegenerateTable, ProbTable, cells_and_logs
 
 __all__ = [
     "ParseError",
@@ -270,21 +272,19 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
             table_or_raise(0, counts[:, 0])
         for k in np.flatnonzero((cells <= 0.0).any(axis=0))[:1].tolist():
             table_or_raise(lo + k, counts[:, k])
-        rank_values = rank_by.on_cells(*_probs_and_logs(cells))
+        rank_values = rank_by.on_cells(*cells_and_logs(cells))
         np.negative(np.abs(rank_values), out=key[lo : row_start[stop]])
         row = stop
 
-    if top_k < n_pairs:
-        candidates = np.flatnonzero(key <= np.partition(key, top_k - 1)[top_k - 1])
-    else:
-        candidates = np.arange(n_pairs)
+    kth = min(top_k, n_pairs) - 1
+    candidates = np.flatnonzero(key <= np.partition(key, kth)[kth])
     _, id_rank = np.unique(ids, return_inverse=True)
     a, b = (id_rank[v] for v in pairs(candidates))
     top_a, top_b = pairs(candidates[np.lexsort((b, a, key[candidates]))[:top_k]])
 
     counts = _counts(*(g[top_a, top_b] for g in grams))
     cells = np.add(counts, pseudocount, dtype=np.float64)
-    top_probs, top_logs = _probs_and_logs(cells)
+    top_probs, top_logs = cells_and_logs(cells)
     values = {kind: kind.on_cells(top_probs, top_logs) for kind in measures}
     results = []
     for k, c in enumerate(counts.T.astype(np.int64).tolist()):
@@ -300,17 +300,17 @@ def _counts(n, n11, n1_, n_1):
     return np.stack([n - n11 - n10 - n01, n01, n10, n11])
 
 
-def _probs_and_logs(cells):
-    """The cells and logs that ProbTable gives the table of each column of cells."""
-    return cells / cell_total(cells), log_cells(cells)
-
-
 def render_results(results, measures):
-    """Deterministic CSV rendering of scan results (6-decimal values)."""
-    header = "id_a,id_b,n,n00,n01,n10,n11," + ",".join(k.cli_name for k in measures)
-    lines = [header]
+    """Deterministic CSV rendering of scan results (6-decimal values).
+
+    An id holding a comma or a double quote is quoted, so every row has the
+    header's fields; any other id is written as it is.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id_a", "id_b", "n", "n00", "n01", "n10", "n11"]
+                    + [k.cli_name for k in measures])
     for r in results:
-        fields = [r.id_a, r.id_b, str(r.n)] + [str(c) for c in r.counts]
-        fields += [f"{r.values[k]:.6f}" for k in measures]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.id_a, r.id_b, r.n, *r.counts]
+                        + [f"{r.values[k]:.6f}" for k in measures])
+    return out.getvalue()

@@ -31,6 +31,7 @@ __all__ = [
     "psi_cells",
     "log_cells",
     "cell_total",
+    "cells_and_logs",
     "half_log_odds",
     "symmetry_apply",
     "ray_limit",
@@ -79,11 +80,10 @@ class ProbTable:
     p11: float
 
     def __post_init__(self):
-        cells = [_check_positive(v, f"cell {n}") for n, v in zip(_CELL_NAMES, self.cells)]
-        total = cell_total(cells)
-        if not math.isfinite(total):
-            raise DegenerateTable(f"cells do not have a finite positive sum: {cells}")
-        _set_cells(self, [v / total for v in cells], log_cells(np.array(cells)).tolist())
+        weights = [_check_positive(v, f"cell {n}") for n, v in zip(_CELL_NAMES, self.cells)]
+        if not math.isfinite(cell_total(weights)):
+            raise DegenerateTable(f"cells do not have a finite positive sum: {weights}")
+        _set_cells(self, *(v.tolist() for v in cells_and_logs(np.array(weights))))
 
     @property
     def cells(self):
@@ -208,6 +208,11 @@ def cell_total(weights):
     return (weights[0] + weights[3]) + (weights[1] + weights[2])
 
 
+def cells_and_logs(weights):
+    """Normalised cells and their ``log_cells`` of a (4, ...) array of weights."""
+    return weights / cell_total(weights), log_cells(weights)
+
+
 def half_log_odds(l):
     """x = ln sqrt(odds-ratio) = ((l00 + l11) - (l01 + l10)) / 2 of the log cells."""
     l00, l01, l10, l11 = l
@@ -291,18 +296,22 @@ def ray_limit(direction):
 
     The cell exponents grow linearly with coefficients (dx+dy+dz, dy, dz, dx);
     in the limit the mass splits uniformly over the argmax set and every other
-    cell is exactly zero.  Returns (cells, BoundaryClass) where cells is a
-    plain 4-tuple because boundary tables are not ProbTable values.
+    cell is exactly zero, so the limit depends only on the direction, not on
+    its length.  Returns (cells, BoundaryClass) where cells is a plain
+    4-tuple because boundary tables are not ProbTable values.
     """
     dx, dy, dz = (float(d) for d in direction)
     if not all(math.isfinite(d) for d in (dx, dy, dz)):
         raise ValueError(f"direction must be finite, got {direction!r}")
-    if dx == dy == dz == 0.0:
+    scale = max(abs(dx), abs(dy), abs(dz))
+    if scale == 0.0:
         raise ValueError("direction must be non-zero")
+    # Ties are found to 1e-9 on the direction scaled to a largest |component|
+    # of 1, so at every length alike, and without overflow.
+    dx, dy, dz = dx / scale, dy / scale, dz / scale
     coeffs = (dx + dy + dz, dy, dz, dx)
     top = max(coeffs)
-    tol = 1e-9 * max(1.0, abs(top))
-    argmax = [i for i, c in enumerate(coeffs) if top - c <= tol]
+    argmax = [i for i, c in enumerate(coeffs) if top - c <= 1e-9]
     share = 1.0 / len(argmax)
     cells = tuple(share if i in argmax else 0.0 for i in range(4))
 
@@ -312,10 +321,7 @@ def ray_limit(direction):
     elif len(argmax) == 3:
         (zero_cell,) = zero_set
         cls = BoundaryClass(BoundaryKind.FACE_SINGLE_ZERO, zero_cell)
-    elif len(argmax) == 2:
-        kind, detail = _TWO_CELL_STRATA[zero_set]
-        cls = BoundaryClass(kind, detail)
     else:
-        # All four exponents tie only for the zero direction, excluded above.
-        raise ValueError(f"degenerate direction {direction!r}")
+        # Four cells cannot tie: the largest |component| is 1.
+        cls = BoundaryClass(*_TWO_CELL_STRATA[zero_set])
     return cells, cls

@@ -436,17 +436,13 @@ class TestMarginLimits:
             t = psi(MarginCoords(x, 30.0, other))
             assert evaluate(kind, t) == pytest.approx(0.0, abs=1e-6)
 
-    def test_intermediate_overflow_raises_not_nan(self):
-        # 2x and x + other both overflow; their difference must not be a
-        # silent nan.
-        with pytest.raises(FloatingPointError):
-            margin_limit(MeasureKind("d_prime"), 1e308, "y", "+", 1e308)
-
     @pytest.mark.parametrize(
         "tag,x,axis,direction,other,want",
         [
             # -2|x| overflows in log |e^{2x} - 1|.
             ("d_prime", -1e308, "z", "-", 1e308, -0.5),
+            # 2x and x + other both overflow; t = other - x is 0.
+            ("d_prime", 1e308, "y", "+", 1e308, 0.5),
             # x + other overflows; the split 1 : e^inf has no entropy.
             ("hs", 1e308, "y", "+", 1e308, 1.0),
         ],
@@ -467,6 +463,45 @@ class TestMarginLimits:
     )
     def test_d_prime_with_x_near_the_largest_double(self, x, axis, direction, other, want):
         assert margin_limit(MeasureKind("d_prime"), x, axis, direction, other) == want
+
+    @pytest.mark.parametrize("x", [1e7, 1e13, 4e15, 5e15, 1e300, 1e308])
+    def test_d_prime_at_other_equal_to_x(self, x):
+        # (1 - e^-2x) / (1 + e^(x - x)): no cancellation of 2x against x + other.
+        assert margin_limit(MeasureKind("d_prime"), x, "y", "+", x) == 0.5
+        assert margin_limit(MeasureKind("d_prime"), -x, "z", "-", x) == -0.5
+
+    def test_d_prime_matches_mpmath_up_to_the_largest_double(self):
+        rng = np.random.default_rng(44)
+
+        def magnitude():
+            band = rng.integers(3)
+            if band == 0:
+                return rng.uniform(0.0, 50.0)
+            lo, hi = ((-3.0, 20.0), (290.0, 308.25))[band - 1]
+            return 10.0 ** rng.uniform(lo, hi)
+
+        kind = MeasureKind("d_prime")
+        for _ in range(6000):
+            x = float(rng.choice((-1.0, 1.0)) * magnitude())
+            axis, direction = str(rng.choice(("y", "z"))), str(rng.choice(("+", "-")))
+            s = 1.0 if direction == "+" else -1.0
+            if rng.random() < 0.25:
+                # t = sign(x) s other - |x| within 30 of 0, where the limit is
+                # neither 0 nor +-1.
+                shifted = min(abs(x) + float(rng.uniform(-30.0, 30.0)), 1.7e308)
+                other = math.copysign(1.0, x) * s * shifted
+            else:
+                other = float(rng.choice((-1.0, 1.0)) * magnitude())
+            got = margin_limit(kind, x, axis, direction, other)
+            with mpmath.workdps(50):
+                mx, mo = mpmath.mpf(x), mpmath.mpf(other)
+                sign = mpmath.sign(mx)
+                want = sign * -mpmath.expm1(-2 * abs(mx)) / (1 + mpmath.exp(sign * s * mo - abs(mx)))
+                err = abs(got - want)
+            if abs(want) < sys.float_info.min:
+                assert err <= 1e-300, (x, axis, direction, other, got)
+            else:
+                assert err <= 1e-12 * abs(want), (x, axis, direction, other, got)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

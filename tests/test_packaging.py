@@ -1,4 +1,5 @@
-"""The test extra of pyproject.toml installs what the suite imports."""
+"""pyproject.toml declares what the package and its tests import: the
+package's runtime dependencies, and with them the test extra."""
 
 from __future__ import annotations
 
@@ -25,11 +26,23 @@ def imported_top_level_modules(path):
     return names
 
 
+def third_party_imports(paths):
+    imported = set().union(*map(imported_top_level_modules, paths))
+    return imported - LOCAL - set(sys.stdlib_module_names) - {"__future__"}
+
+
 def test_every_third_party_import_of_the_tests_is_declared():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
-    declared = {re.split(r"[<>=!~ ;\[]", r, maxsplit=1)[0].lower() for r in requirements}
-    imported = set().union(*map(imported_top_level_modules, (ROOT / "tests").glob("*.py")))
-    third_party = imported - LOCAL - set(sys.stdlib_module_names) - {"__future__"}
-    assert "mpmath" in third_party
-    assert third_party - declared == set()
+
+    def names(requirements):
+        return {re.split(r"[<>=!~ ;\[]", r, maxsplit=1)[0].lower() for r in requirements}
+
+    runtime = names(project["dependencies"])
+    test_only = names(project["optional-dependencies"]["test"])
+    tests = third_party_imports((ROOT / "tests").glob("*.py"))
+    assert "mpmath" in tests
+    assert tests - runtime - test_only == set()
+    # The package itself may import its runtime dependencies only.
+    package = third_party_imports((ROOT / "src").rglob("*.py"))
+    assert "numpy" in package
+    assert package - runtime == set()

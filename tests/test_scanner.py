@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 
@@ -434,14 +435,14 @@ DEFAULT_TILE_PAIRS = scanner._TILE_PAIRS
 def pairs_of_each_tile(monkeypatch, matrix, kind):
     """The pair count of each tile that scan evaluates rank_by on."""
     sizes = []
-    original = scanner._probs_and_logs
+    original = scanner.cells_and_logs
 
     def spy(cells):
         sizes.append(cells.shape[1])
         return original(cells)
 
     with monkeypatch.context() as m:
-        m.setattr(scanner, "_probs_and_logs", spy)
+        m.setattr(scanner, "cells_and_logs", spy)
         scan(matrix, [kind], kind, top_k=1)
     return sizes[:-1]  # the last call is the top_k's
 
@@ -559,3 +560,22 @@ class TestRender:
         assert len(fields) == 9
         float(fields[-1])  # parses as a decimal
         assert len(fields[-1].split(".")[1]) == 6
+
+    def test_ids_with_commas_and_quotes_read_back(self):
+        ids = ["rs1,a", 'rs2"b', "c", "plain id"]
+        m = matrix_from(random_matrix(40, 4, seed=37).replace("m0\tm1\tm2\tm3", "\t".join(ids)))
+        kinds = [MeasureKind("yule_y"), MeasureKind("kappa")]
+        results = scan(m, kinds, kinds[0], 6)
+        rows = list(csv.reader(io.StringIO(render_results(results, kinds))))
+        assert rows[0] == ["id_a", "id_b", "n", "n00", "n01", "n10", "n11", "Y", "kappa"]
+        assert len(rows) == 7
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert [row[:2] for row in rows[1:]] == [[r.id_a, r.id_b] for r in results]
+        assert {row[0] for row in rows[1:]} | {row[1] for row in rows[1:]} == set(ids)
+
+    def test_plain_ids_are_written_as_they_are(self):
+        m = matrix_from(SMALL)
+        kinds = [MeasureKind("yule_y")]
+        (r,) = scan(m, kinds, kinds[0], 1)
+        line = render_results([r], kinds).splitlines()[1]
+        assert line == f"{r.id_a},{r.id_b},{r.n},{','.join(map(str, r.counts))},{r.values[kinds[0]]:.6f}"

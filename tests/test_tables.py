@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import math
 import warnings
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twobytwo import (
+    BoundaryClass,
     BoundaryKind,
     DegenerateTable,
     MarginCoords,
@@ -394,6 +396,22 @@ class TestRayLimit:
             for got, want in zip(far.cells, cells):
                 assert got == pytest.approx(want, abs=1e-9)
             checked += 1
+
+    def test_limit_depends_only_on_the_direction(self):
+        # Ties (integer directions) and random directions, at every scale.
+        rng = np.random.default_rng(28)
+        directions = [d for d in itertools.product(range(-2, 3), repeat=3) if any(d)]
+        directions += [tuple(d) for d in rng.normal(size=(300, 3))]
+        for d in directions:
+            want = ray_limit(d)
+            for c in (1e-300, 1e-12, 1e-9, 1e9, 1e300):
+                assert ray_limit(tuple(c * np.asarray(d, dtype=float))) == want, (d, c)
+
+    def test_largest_doubles(self):
+        cells, cls = ray_limit((1e308, 1e308, 1e308))
+        assert cells == (1.0, 0.0, 0.0, 0.0)
+        assert cls == BoundaryClass(BoundaryKind.VERTEX_SINGLE_ONE, "p00")
+        assert ray_limit((1e308, 1e308, -1e308)) == ray_limit((1, 1, -1))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
