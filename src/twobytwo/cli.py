@@ -58,10 +58,19 @@ def _parse_table(text):
         raise click.UsageError(str(exc)) from None
 
 
+_n = click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
 # Click opens the file on the first write and closes it when the command ends.
 _output = click.option(
     "-o", "--output", type=click.File("wb"), default="-", help="output file (default stdout)"
 )
+
+
+def _kinds(names, n):
+    """The MeasureKinds of CLI measure names at HS weight n; a bad one is a usage error."""
+    try:
+        return [MeasureKind.from_cli(name, n) for name in names]
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 @click.group()
@@ -77,18 +86,14 @@ def main():
     required=True,
     help=f"comma-separated names from: {', '.join(CLI_NAMES)}",
 )
-@click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
+@_n
 def measure(table_text, measures_text, n):
     """Print measure,value lines for one table."""
     table = _parse_table(table_text)
     names = [name.strip() for name in measures_text.split(",") if name.strip()]
     if not names:
         raise click.UsageError("--measures must name at least one measure")
-    for name in names:
-        try:
-            kind = MeasureKind.from_cli(name, n)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
+    for name, kind in zip(names, _kinds(names, n)):
         try:
             value = evaluate(kind, table)
         except ArithmeticError as exc:
@@ -101,12 +106,12 @@ def measure(table_text, measures_text, n):
 @click.option("--odds-ratio", required=True, type=float)
 @click.option("--half-width", required=True, type=float)
 @click.option("--step", required=True, type=float)
-@click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
+@_n
 @_output
 def grid(measure_name, odds_ratio, half_width, step, n, output):
     """Emit a y,z,value CSV grid of a margin weighting function."""
+    (kind,) = _kinds([measure_name], n)
     try:
-        kind = MeasureKind.from_cli(measure_name, n)
         spec = GridSpec(kind, odds_ratio, half_width, step)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
@@ -153,18 +158,13 @@ def critical(odds_ratio):
     show_default=True,
     help="added to every cell count; samples with NA are dropped pairwise",
 )
-@click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
+@_n
 @click.option("--jobs", default=1, show_default=True, help="ignored; kept for compatibility")
 @_output
 def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, output):
     """Rank marker pairs of a 0/1/NA TSV matrix by association strength."""
-    try:
-        kinds = [MeasureKind.from_cli(name, n) for name in measure_names]
-        rank_kind = (
-            MeasureKind.from_cli(rank_by, n) if rank_by is not None else kinds[0]
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    kinds = _kinds(measure_names, n)
+    rank_kind = kinds[0] if rank_by is None else _kinds([rank_by], n)[0]
     if not (math.isfinite(pseudocount) and pseudocount >= 0.0):
         raise click.UsageError(f"--pseudocount must be finite and >= 0, got {pseudocount!r}")
     if rank_kind not in kinds:

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .tables import half_log_odds, psi_cells
+from .tables import MarginCoords, half_log_odds, psi_cells
 
 __all__ = [
     "Measure",
@@ -131,8 +131,7 @@ def _s_mut_inf(p, l, n):
 
 
 def _hs(p, l, n):
-    x = half_log_odds(l)
-    return _weighted_y(_tanh_half_x(x), n, _entropy_diag_x(x) - _entropy(p, l, n))
+    return _weighted_y(half_log_odds(l), _entropy(p, l, n), n)
 
 
 def _entropy_diag_x(x):
@@ -142,12 +141,13 @@ def _entropy_diag_x(x):
     return 1.0 + (np.log1p(t) + a * t / (1.0 + t)) / _LN2
 
 
-def _weighted_y(y, n, h_gap):
-    """sign(Y) * |Y|^exp(n * h_gap), the HS form shared by every HS formula."""
-    # n * h_gap or its exp may overflow: a weight of inf or 0 gives the limit,
-    # sign(Y) * |Y|^inf (0 for |Y| < 1) or sign(Y).
+def _weighted_y(x, h, n):
+    """HS at x and entropy h: sign(Y) * |Y|^exp(n * (Hdiag - h)), Y and Hdiag of x."""
+    y = _tanh_half_x(x)
+    # n * (Hdiag - h) or its exp may overflow: a weight of inf or 0 gives the
+    # limit, sign(Y) * |Y|^inf (0 for |Y| < 1) or sign(Y).
     with np.errstate(over="ignore"):
-        weight = np.exp(n * h_gap)
+        weight = np.exp(n * (_entropy_diag_x(x) - h))
     return np.sign(y) * np.power(np.abs(y), weight)
 
 
@@ -180,7 +180,7 @@ def _hs_limit(x, s, other, n):
         a = np.clip(x + s * other, -800.0, 800.0)
     l0, l1 = -_logaddexp(0.0, a), -_logaddexp(-a, 0.0)
     h_split = _entropy((np.exp(l0), np.exp(l1), 0.0, 0.0), (l0, l1, 0.0, 0.0), n)
-    return _weighted_y(_tanh_half_x(x), n, _entropy_diag_x(x) - h_split)
+    return _weighted_y(x, h_split, n)
 
 
 # --- the registry ----------------------------------------------------------
@@ -309,8 +309,9 @@ def margin_limit(kind, x, axis, direction, other):
     """Closed-form limit of a margin weighting function along one axis.
 
     ``axis`` is "y" or "z", ``direction`` is +1/-1 (or "+"/"-") and
-    ``other`` is the held-fixed remaining coordinate.  Supported: the
-    measures with a ``limit`` in ``MEASURES``.
+    ``other`` is the held-fixed remaining coordinate; x and other must be
+    finite (ValueError, as in ``MarginCoords``).  Supported: the measures
+    with a ``limit`` in ``MEASURES``.
     """
     if axis not in ("y", "z"):
         raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
@@ -323,5 +324,7 @@ def margin_limit(kind, x, axis, direction, other):
     limit = kind.measure.limit
     if limit is None:
         raise UnsupportedKind(f"{kind.tag} has no closed-form axis limit")
+    # A NaN or infinite x or held coordinate (z on the y axis, y on z) raises here.
+    MarginCoords(x, *((0.0, other) if axis == "y" else (other, 0.0)))
     # As numpy floats, so that an intermediate inf or nan raises under _strict.
     return float(limit(np.float64(x), s, np.float64(other), kind.n))

@@ -36,6 +36,9 @@ _NOT_A_TOKEN = -2
 _BYTE_TOKENS = np.full(256, _NOT_A_TOKEN, dtype=np.int8)
 _BYTE_TOKENS[[ord("0"), ord("1"), ord("N")]] = [0, 1, _MISSING]
 
+# scan counts in float32, exact for integers to 2**24, up to this many samples.
+_FLOAT32_SAMPLES = 2**24
+
 # Pairs per tile of scan: its 4 x pairs arrays of counts, cells and logs stay
 # in cache.  Tiles of 4,096 pairs paid more in per-tile overhead, and tiles
 # of 32,768 were slower on 300 markers.
@@ -232,7 +235,7 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     if n_markers < 2:
         return []
 
-    dtype = np.float32 if matrix.n_samples <= 2**24 else np.float64
+    dtype = np.float32 if matrix.n_samples <= _FLOAT32_SAMPLES else np.float64
     seen = (matrix.data != _MISSING).astype(dtype)
     ones = (matrix.data == 1).astype(dtype)
     ones_seen = ones.T @ seen

@@ -47,6 +47,9 @@ class DegenerateTable(ValueError):
 # smallest subnormal instead of 0, so the result stays on the open manifold.
 _EXP_FLOOR = -744.0
 
+# The smallest positive double, where cells_and_logs floors an underflowing cell.
+_CELL_FLOOR = 5e-324
+
 # Up to this |coordinate| no step of psi_cells overflows: an exponent is at
 # most 1.5 times it, so the log-ratio of two cells at most 3 times.
 _PSI_NO_OVERFLOW = 2.0**1022
@@ -209,8 +212,9 @@ def cell_total(weights):
 
 
 def cells_and_logs(weights):
-    """Normalised cells and their ``log_cells`` of a (4, ...) array of weights."""
-    return weights / cell_total(weights), log_cells(weights)
+    """Normalised cells, none below _CELL_FLOOR, and ``log_cells`` of (4, ...) weights."""
+    cells = weights / cell_total(weights)
+    return np.maximum(cells, _CELL_FLOOR, out=cells), log_cells(weights)
 
 
 def half_log_odds(l):

@@ -90,6 +90,42 @@ class TestMeasure:
         assert "hs needs n >= 0" in result.output
         assert "Traceback" not in result.output
 
+    def test_no_measure_named_exits_2(self, runner):
+        result = runner.invoke(main, ["measure", "--table", "0.4,0.1,0.2,0.3", "--measures", ","])
+        assert result.exit_code == 2
+        assert "--measures must name at least one measure" in result.output
+
+
+class TestUsageErrorWritesNothing:
+    """A bad argument is reported before a command writes anything."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--measures", "Y,foo"], ["--measures", "Y,HS", "--n", "-1"]],
+        ids=["unknown-name", "bad-n"],
+    )
+    def test_measure(self, runner, args):
+        result = runner.invoke(main, ["measure", "--table", "0.4,0.1,0.2,0.3"] + args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["grid", "--measure", "foo", "--odds-ratio", "4", "--half-width", "1", "--step", "1"],
+            ["scan", "{input}", "--measure", "Y", "--rank-by", "foo"],
+            ["scan", "{input}", "--measure", "Y", "--pseudocount", "-1"],
+        ],
+        ids=["grid-unknown-name", "scan-unknown-rank-by", "scan-bad-pseudocount"],
+    )
+    def test_output_file_is_not_created(self, runner, tmp_path, args):
+        path = TestScan().make_input(tmp_path)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [a.format(input=path) for a in args] + ["-o", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert not out.exists()
+
 
 class TestGrid:
     def test_writes_csv_file(self, runner, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -502,6 +503,20 @@ class TestMarginLimits:
                 assert err <= 1e-300, (x, axis, direction, other, got)
             else:
                 assert err <= 1e-12 * abs(want), (x, axis, direction, other, got)
+
+    @pytest.mark.parametrize("tag", ["yule_y", "d_prime", "corr_r", "s_mut_inf", "hs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_or_other_raises_value_error(self, tag, bad):
+        # The held coordinate is z along the y axis and y along the z axis.
+        kind = MeasureKind(tag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for axis, held in (("y", "z"), ("z", "y")):
+                for direction in ("+", "-"):
+                    with pytest.raises(ValueError, match="coordinate x must be finite"):
+                        margin_limit(kind, bad, axis, direction, 0.5)
+                    with pytest.raises(ValueError, match=f"coordinate {held} must be finite"):
+                        margin_limit(kind, 0.5, axis, direction, bad)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from twobytwo import (
 )
 from twobytwo import scanner
 from twobytwo.measures import CLI_NAMES
-from twobytwo.scanner import _decode, _parse_canonical, _parse_lines, render_results
+from twobytwo.scanner import _MISSING, _decode, _parse_canonical, _parse_lines, render_results
 
 
 def matrix_from(text):
@@ -420,6 +420,35 @@ class TestScan:
             return {frozenset((r.id_a, r.id_b)): [r.values[k] for k in kinds] for r in results}
 
         assert values_by_pair(flipped) == values_by_pair(m)
+
+    def test_one_marker_has_no_pairs(self):
+        m = BinaryMatrix(["m0"], np.array([[0], [1], [_MISSING]], dtype=np.int8))
+        kind = MeasureKind("yule_y")
+        assert scan(m, [kind], kind, top_k=5) == []
+
+    def test_float64_counts_equal_float32_counts_and_count_pair(self, monkeypatch):
+        # Above _FLOAT32_SAMPLES samples scan counts in float64; a limit of 0
+        # takes that branch on a small matrix.
+        rng = np.random.default_rng(37)
+        data = rng.choice(np.array([0, 1, _MISSING], dtype=np.int8), size=(300, 12))
+        m = BinaryMatrix([f"m{k}" for k in range(12)], data)
+        kinds = [MeasureKind.from_cli(name) for name in CLI_NAMES]
+        dtypes = []
+        original = scanner._counts
+
+        def spy(*grams):
+            dtypes.append(grams[0].dtype.name)
+            return original(*grams)
+
+        monkeypatch.setattr(scanner, "_counts", spy)
+        in_float32 = scan(m, kinds, kinds[-1], top_k=66, pseudocount=0.1)
+        monkeypatch.setattr(scanner, "_FLOAT32_SAMPLES", 0)
+        in_float64 = scan(m, kinds, kinds[-1], top_k=66, pseudocount=0.1)
+        # One tile, then the top k, in each run.
+        assert dtypes == ["float32", "float32", "float64", "float64"]
+        assert in_float64 == in_float32
+        for r in in_float64:
+            assert r.counts == count_pair(m, int(r.id_a[1:]), int(r.id_b[1:]))
 
     def test_rank_by_ignores_n_of_a_measure_that_does_not_read_it(self):
         m = matrix_from(SMALL)

@@ -292,6 +292,17 @@ class TestLogCells:
         for column, got in zip(weights.T.tolist(), logs.T.tolist()):
             assert tuple(got) == ProbTable(*column).logs
 
+    @pytest.mark.parametrize("weights", [(5e-324, 1e308, 1, 1), (5e-324, 1, 1, 1e300)])
+    def test_a_cell_that_underflows_is_floored_and_keeps_its_log(self, weights):
+        # 5e-324 over a total of 1e300 or more rounds to 0: the cell is
+        # floored at the smallest positive double, as psi floors its cells.
+        t = ProbTable(*weights)
+        assert min(t.cells) > 0.0
+        assert t.p00 == 5e-324
+        w = np.array(weights, dtype=float)
+        assert t.logs == tuple(log_cells(w).tolist())
+        assert t.cells[1:] == tuple((w / ((w[0] + w[3]) + (w[1] + w[2]))).tolist()[1:])
+
     def test_psi_logs_are_exact_below_the_floor(self):
         # p11 = e^-1000 is floored to a subnormal; its log is not.
         t = psi(MarginCoords(0.0, 500.0, 500.0))
