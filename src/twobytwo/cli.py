@@ -8,11 +8,11 @@ import os
 import click
 from click.utils import LazyFile
 
-from .critical import DomainError, critical_points
+from .critical import critical_points
 from .grids import GridSpec, emit_grid
 from .measures import CLI_NAMES, DEFAULT_HS_N, MeasureKind, evaluate
 from .scanner import load_matrix, render_results, scan
-from .tables import DegenerateTable, MarginCoords, ProbTable, psi
+from .tables import MarginCoords, ProbTable, psi
 
 __all__ = ["main", "table1_rows"]
 
@@ -37,6 +37,14 @@ def table1_rows():
     return rows
 
 
+def _checked(make, *args):
+    """make(*args); an argument the library rejects with ValueError is a usage error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 def _round_half_away(value, digits=3):
     scale = 10 ** digits
     return math.copysign(math.floor(abs(value) * scale + 0.5), value) / scale
@@ -52,10 +60,7 @@ def _parse_table(text):
         cells = [float(p) for p in parts]
     except ValueError:
         raise click.UsageError(f"--table has a non-numeric entry: {text!r}") from None
-    try:
-        return ProbTable(*cells)
-    except DegenerateTable as exc:
-        raise click.UsageError(str(exc)) from None
+    return _checked(ProbTable, *cells)
 
 
 _n = click.option("--n", default=DEFAULT_HS_N, show_default=True, help="HS exponent weight")
@@ -67,10 +72,7 @@ _output = click.option(
 
 def _kinds(names, n):
     """The MeasureKinds of CLI measure names at HS weight n; a bad one is a usage error."""
-    try:
-        return [MeasureKind.from_cli(name, n) for name in names]
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    return [_checked(MeasureKind.from_cli, name, n) for name in names]
 
 
 @click.group()
@@ -93,12 +95,13 @@ def measure(table_text, measures_text, n):
     names = [name.strip() for name in measures_text.split(",") if name.strip()]
     if not names:
         raise click.UsageError("--measures must name at least one measure")
+    lines = []
     for name, kind in zip(names, _kinds(names, n)):
         try:
-            value = evaluate(kind, table)
+            lines.append(f"{name},{evaluate(kind, table):.6f}\n")
         except ArithmeticError as exc:
             raise click.ClickException(f"{name}: {exc}") from None
-        click.echo(f"{name},{value:.6f}")
+    click.echo("".join(lines), nl=False)
 
 
 @main.command()
@@ -111,10 +114,7 @@ def measure(table_text, measures_text, n):
 def grid(measure_name, odds_ratio, half_width, step, n, output):
     """Emit a y,z,value CSV grid of a margin weighting function."""
     (kind,) = _kinds([measure_name], n)
-    try:
-        spec = GridSpec(kind, odds_ratio, half_width, step)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    spec = _checked(GridSpec, kind, odds_ratio, half_width, step)
     try:
         emit_grid(spec, output)
     except ArithmeticError as exc:
@@ -128,11 +128,7 @@ def grid(measure_name, odds_ratio, half_width, step, n, output):
 @click.option("--odds-ratio", "odds_ratio", required=True, type=float)
 def critical(odds_ratio):
     """Critical tables of entropy at fixed odds-ratio (CSV lines)."""
-    try:
-        points = critical_points(odds_ratio)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from None
-    for pt in points:
+    for pt in _checked(critical_points, odds_ratio):
         cells = ",".join(f"{p:.12g}" for p in pt.table.cells)
         click.echo(
             f"{pt.branch},{pt.classification},{cells},"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,10 +215,12 @@ def counts_to_table(counts, pseudocount):
 def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """Evaluate all marker pairs and return the top_k by |rank_by| value.
 
-    The counts of every pair come from three matrix products, in float32
-    when n_samples <= 2**24, where its integer sums are exact, and in
-    float64 above.  Pairs (i, j), j > i, are numbered in ``np.triu_indices``
-    order and walked in tiles of about ``_TILE_PAIRS`` pairs, whole rows of
+    The arguments (top_k an integer >= 1) and the table of the first pair,
+    where a bad pseudocount fails, are checked before any work.  The counts
+    of every pair come from three matrix products, in float32 when
+    n_samples <= 2**24, where its integer sums are exact, and in float64
+    above.  Pairs (i, j), j > i, are numbered in ``np.triu_indices`` order
+    and walked in tiles of about ``_TILE_PAIRS`` pairs, whole rows of
     markers each: a tile gathers its counts, adds the pseudocount and
     evaluates rank_by on its cells and logs, and only -|value| of each pair
     is kept.  The pairs whose |value| is at least the top_k-th largest,
@@ -228,12 +231,23 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """
     if rank_by not in measures:
         raise ValueError("rank_by must be one of the requested measures")
+    if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral):
+        raise ValueError(f"top_k must be an integer, got {top_k!r}")
     if top_k <= 0:
         raise ValueError(f"top_k must be positive, got {top_k!r}")
     ids = matrix.marker_ids
     n_markers = matrix.n_markers
     if n_markers < 2:
         return []
+
+    def table_or_raise(i, j, counts):
+        # counts_to_table decides which pairs have a table.
+        try:
+            counts_to_table(tuple(int(c) for c in counts), pseudocount)
+        except DegenerateTable as exc:
+            raise DegenerateTable(f"pair ({ids[i]}, {ids[j]}): {exc}") from exc
+
+    table_or_raise(0, 1, count_pair(matrix, 0, 1))
 
     dtype = np.float32 if matrix.n_samples <= _FLOAT32_SAMPLES else np.float64
     seen = (matrix.data != _MISSING).astype(dtype)
@@ -252,14 +266,6 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
         i = np.searchsorted(row_start, k, side="right") - 1
         return i, k - row_start[i] + i + 1
 
-    def table_or_raise(k, counts):
-        # counts_to_table decides which pairs have a table.
-        try:
-            counts_to_table(tuple(int(c) for c in counts), pseudocount)
-        except DegenerateTable as exc:
-            i, j = pairs(k)
-            raise DegenerateTable(f"pair ({ids[i]}, {ids[j]}): {exc}") from exc
-
     key = np.empty(n_pairs)
     row = 0
     while row < n_markers - 1:
@@ -269,12 +275,9 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
         upper = np.arange(n_markers) > np.arange(row, stop)[:, None]
         counts = _counts(*(g[row:stop][upper] for g in grams))
         cells = np.add(counts, pseudocount, dtype=np.float64)
-        # The first pair, where a bad pseudocount fails, then the first pair
-        # with a zero cell, in pair order.
-        if row == 0:
-            table_or_raise(0, counts[:, 0])
+        # The first pair with a zero cell, in pair order.
         for k in np.flatnonzero((cells <= 0.0).any(axis=0))[:1].tolist():
-            table_or_raise(lo + k, counts[:, k])
+            table_or_raise(*pairs(lo + k), counts[:, k])
         rank_values = rank_by.on_cells(*cells_and_logs(cells))
         np.negative(np.abs(rank_values), out=key[lo : row_start[stop]])
         row = stop

@@ -12,7 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 from twobytwo.cli import main, table1_rows
-from twobytwo.measures import MEASURES
+from twobytwo.critical import critical_points
+from twobytwo.grids import GridSpec
+from twobytwo.measures import DEFAULT_HS_N, MEASURES, MeasureKind
+from twobytwo.tables import ProbTable
 from conftest import mp_measures
 
 
@@ -125,6 +128,44 @@ class TestUsageErrorWritesNothing:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert not out.exists()
+
+
+class TestLibraryErrors:
+    """An argument the library rejects is a usage error in the library's words;
+    a numeric failure exits 1; neither writes to stdout."""
+
+    @pytest.mark.parametrize(
+        "args,make",
+        [
+            (["measure", "--table", "1e308,1e308,1,1", "--measures", "Y"],
+             lambda: ProbTable(1e308, 1e308, 1, 1)),
+            (["measure", "--table", "1,1,1,1", "--measures", "foo"],
+             lambda: MeasureKind.from_cli("foo", DEFAULT_HS_N)),
+            (["grid", "--measure", "Y", "--odds-ratio", "4", "--half-width", "1",
+              "--step", "0"],
+             lambda: GridSpec(MeasureKind.from_cli("Y", DEFAULT_HS_N), 4.0, 1.0, 0.0)),
+            (["critical", "--odds-ratio", "0"], lambda: critical_points(0.0)),
+            (["critical", "--odds-ratio", "1e-310"], lambda: critical_points(1e-310)),
+        ],
+        ids=["table-sum", "measure-name", "grid-step", "critical-zero", "critical-subnormal"],
+    )
+    def test_rejected_argument_exits_2_with_the_library_message(self, runner, args, make):
+        with pytest.raises(ValueError) as info:
+            make()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == f"Error: {info.value}"
+
+    @pytest.mark.parametrize("names", ["Y,lambda", "lambda,Y"])
+    def test_measure_numeric_failure_writes_nothing(self, runner, names):
+        # lambda = 1e600 on this table: past the largest double.
+        result = runner.invoke(
+            main, ["measure", "--table", "1,1e-300,1e-300,1", "--measures", names]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "Error: lambda: overflow encountered in exp\n"
 
 
 class TestGrid:

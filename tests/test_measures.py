@@ -238,7 +238,7 @@ class TestMeasureKind:
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output == "Y,1.000000\nError: lambda: overflow encountered in exp\n"
+        assert result.output == "Error: lambda: overflow encountered in exp\n"
 
 
 class TestCoordinateForms:

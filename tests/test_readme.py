@@ -41,3 +41,23 @@ def test_command_runs(args):
 def test_measure_names_are_the_cli_names():
     sentence = re.search(r"Measure names: (.*?)\.\n", CLI_SECTION, re.S)[1]
     assert re.findall(r"`([^`]+)`", sentence) == list(CLI_NAMES)
+
+
+LIBRARY_BLOCK = re.search(r"\n## Library example\n.*?```python\n(.*?)```", README, re.S)[1]
+NUMBER = r"-?\d+\.\d+"
+
+
+def test_library_example_prints_what_its_comments_show(capsys):
+    exec(compile(LIBRARY_BLOCK, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("# ")[1] for line in LIBRARY_BLOCK.splitlines() if "# " in line]
+    assert comments == ["MarginCoords(x=0.896, y=-0.203, z=0.490)", "0.420..., 0.387..."]
+    for line, comment in zip(printed, comments):
+        got = re.findall(NUMBER, line)
+        shown = re.findall(NUMBER + r"(?:\.\.\.)?", comment)
+        assert len(got) == len(shown), (line, comment)
+        for value, digits in zip(got, shown):
+            if digits.endswith("..."):  # the leading digits
+                assert value.startswith(digits[:-3]), (line, comment)
+            else:  # rounded to the digits shown
+                assert f"{float(value):.{len(digits.split('.')[1])}f}" == digits, (line, comment)

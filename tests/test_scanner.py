@@ -284,6 +284,47 @@ class TestScan:
             scan(m, [q], q, top_k=5, pseudocount=pseudocount)
         assert not isinstance(info.value, DegenerateTable)
 
+    @pytest.mark.parametrize("top_k", [2.5, math.nan, True, 0])
+    def test_top_k_must_be_a_positive_integer(self, top_k):
+        m = matrix_from(SMALL)
+        q = MeasureKind("yule_q")
+        with pytest.raises(ValueError, match="top_k must be"):
+            scan(m, [q], q, top_k=top_k)
+
+    def test_top_k_may_be_a_numpy_integer(self):
+        m = matrix_from(SMALL)
+        q = MeasureKind("yule_q")
+        assert scan(m, [q], q, top_k=np.int64(2)) == scan(m, [q], q, top_k=2)
+
+    @pytest.mark.parametrize(
+        "pseudocount,error,message",
+        [
+            (math.nan, ValueError, "pseudocount must be finite and >= 0, got nan"),
+            (-1.0, ValueError, "pseudocount must be finite and >= 0, got -1.0"),
+            (1e308, DegenerateTable,
+             "pair (m1, m2): cells do not have a finite positive sum: "
+             "[1e+308, 1e+308, 1e+308, 1e+308]"),
+            # (m1, m2) of SMALL has n10 = 0.
+            (0.0, DegenerateTable,
+             "pair (m1, m2): zero cell with pseudocount 0.0: counts (1, 1, 0, 2)"),
+        ],
+    )
+    def test_first_pair_fails_before_any_matrix_product(self, pseudocount, error, message):
+        class NoProducts(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("a matrix product ran")
+
+            __rmatmul__ = __matmul__
+
+        m = matrix_from(SMALL)
+        m = BinaryMatrix(m.marker_ids, m.data.view(NoProducts))
+        q = MeasureKind("yule_q")
+        with pytest.raises(AssertionError, match="a matrix product ran"):
+            scan(m, [q], q, top_k=3)
+        with pytest.raises(error) as info:
+            scan(m, [q], q, top_k=3, pseudocount=pseudocount)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_jobs_do_not_change_output(self):
         m = matrix_from(random_matrix(300, 12, seed=13))
         kinds = [MeasureKind("hs", 4.0), MeasureKind("corr_r")]
