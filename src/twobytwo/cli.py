@@ -11,8 +11,8 @@ from click.utils import LazyFile
 from .critical import critical_points
 from .grids import GridSpec, emit_grid
 from .measures import CLI_NAMES, DEFAULT_HS_N, MeasureKind, evaluate
-from .scanner import load_matrix, render_results, scan
-from .tables import MarginCoords, ProbTable, psi
+from .scanner import ParseError, load_matrix, render_results, scan
+from .tables import DegenerateTable, MarginCoords, ProbTable, psi
 
 __all__ = ["main", "table1_rows"]
 
@@ -37,10 +37,13 @@ def table1_rows():
     return rows
 
 
-def _checked(make, *args):
-    """make(*args); an argument the library rejects with ValueError is a usage error."""
+def _checked(make, *args, data=()):
+    """make(*args); an error whose type is in data is about the input (exit 1),
+    any other ValueError is an argument the library rejects (usage error, exit 2)."""
     try:
         return make(*args)
+    except data as exc:
+        raise click.ClickException(str(exc)) from None
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
 
@@ -161,15 +164,9 @@ def scan_cmd(input_file, measure_names, rank_by, top, pseudocount, n, jobs, outp
     """Rank marker pairs of a 0/1/NA TSV matrix by association strength."""
     kinds = _kinds(measure_names, n)
     rank_kind = kinds[0] if rank_by is None else _kinds([rank_by], n)[0]
-    if not (math.isfinite(pseudocount) and pseudocount >= 0.0):
-        raise click.UsageError(f"--pseudocount must be finite and >= 0, got {pseudocount!r}")
-    if rank_kind not in kinds:
-        raise click.UsageError("--rank-by must be one of the requested measures")
-    try:
-        matrix = load_matrix(input_file)
-        results = scan(matrix, kinds, rank_kind, top, pseudocount, jobs)
-    except (ValueError, ArithmeticError) as exc:
-        raise click.ClickException(str(exc)) from None
+    matrix = _checked(load_matrix, input_file, data=ParseError)
+    results = _checked(scan, matrix, kinds, rank_kind, top, pseudocount, jobs,
+                       data=(DegenerateTable, ArithmeticError))
     output.write(render_results(results, kinds).encode("utf-8"))
 
 

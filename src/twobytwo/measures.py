@@ -315,12 +315,9 @@ def margin_limit(kind, x, axis, direction, other):
     """
     if axis not in ("y", "z"):
         raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
-    if direction in ("+", 1, +1.0):
-        s = 1.0
-    elif direction in ("-", -1, -1.0):
-        s = -1.0
-    else:
+    if isinstance(direction, (bool, np.bool_)) or direction not in ("+", "-", 1, -1):
         raise ValueError(f"direction must be '+'/'-' or +-1, got {direction!r}")
+    s = 1.0 if direction in ("+", 1) else -1.0
     limit = kind.measure.limit
     if limit is None:
         raise UnsupportedKind(f"{kind.tag} has no closed-form axis limit")

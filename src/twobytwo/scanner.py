@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -182,9 +183,16 @@ def _parse_lines(text):
 
 
 def count_pair(matrix, i, j):
-    """2x2 counts (n00, n01, n10, n11) for markers i, j over complete samples."""
+    """2x2 counts (n00, n01, n10, n11) for markers i, j over complete samples;
+    i and j are distinct integers in [0, n_markers), ValueError otherwise."""
+    for index in (i, j):
+        if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
+                or not 0 <= index < matrix.n_markers):
+            raise ValueError(
+                f"marker index must be an integer in [0, {matrix.n_markers}), got {index!r}"
+            )
     if i == j:
-        raise ValueError("need two distinct markers")
+        raise ValueError(f"need two distinct markers, got {i!r} twice")
     a = matrix.data[:, i]
     b = matrix.data[:, j]
     ok = (a != _MISSING) & (b != _MISSING)
@@ -201,10 +209,12 @@ def count_pair(matrix, i, j):
 
 
 def counts_to_table(counts, pseudocount):
-    """Probability table proportional to count + pseudocount per cell."""
-    if not (np.isfinite(pseudocount) and pseudocount >= 0.0):
+    """Probability table proportional to count + pseudocount per cell; a pseudocount
+    that is not a finite real >= 0, or is a bool, raises ValueError."""
+    if (isinstance(pseudocount, bool) or not isinstance(pseudocount, numbers.Real)
+            or not (math.isfinite(pseudocount) and pseudocount >= 0.0)):
         raise ValueError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
-    cells = [c + pseudocount for c in counts]
+    cells = [c + float(pseudocount) for c in counts]
     if any(c <= 0.0 for c in cells):
         raise DegenerateTable(
             f"zero cell with pseudocount {pseudocount}: counts {tuple(counts)}"
@@ -248,6 +258,7 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
             raise DegenerateTable(f"pair ({ids[i]}, {ids[j]}): {exc}") from exc
 
     table_or_raise(0, 1, count_pair(matrix, 0, 1))
+    pseudocount = float(pseudocount)  # a real number, checked by counts_to_table
 
     dtype = np.float32 if matrix.n_samples <= _FLOAT32_SAMPLES else np.float64
     seen = (matrix.data != _MISSING).astype(dtype)

@@ -130,6 +130,20 @@ class TestUsageErrorWritesNothing:
         assert not out.exists()
 
 
+    def test_scan_rank_by_not_requested(self, runner, tmp_path):
+        path = TestScan().make_input(tmp_path)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(
+            main, ["scan", str(path), "--measure", "Y", "--rank-by", "r", "-o", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == (
+            "Error: rank_by must be one of the requested measures"
+        )
+        assert result.stdout == ""
+        assert not out.exists()
+
+
 class TestLibraryErrors:
     """An argument the library rejects is a usage error in the library's words;
     a numeric failure exits 1; neither writes to stdout."""
@@ -385,6 +399,25 @@ class TestScan:
         assert "pair (a, b): zero cell" in result.output
         assert "Traceback" not in result.output
 
+    def test_zero_cell_past_the_first_pair_exits_1(self, runner, tmp_path):
+        # (a, b) has every cell; c is always 1, so (a, c) has zero cells.
+        path = tmp_path / "zero.tsv"
+        path.write_text("a\tb\tc\n0\t0\t1\n0\t1\t1\n1\t0\t1\n1\t1\t1\n")
+        result = runner.invoke(main, ["scan", str(path), "--measure", "Y", "--pseudocount", "0"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("Error: pair (a, c): zero cell")
+
+    def test_file_is_read_before_the_arguments_are_checked(self, runner, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tb\n0\t2\n")
+        result = runner.invoke(
+            main, ["scan", str(path), "--measure", "Y", "--pseudocount", "nan"]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "Error: line 2, column 2: invalid token '2'\n"
+
     def test_pseudocount_with_an_overflowing_table_sum_exits_1(self, runner, tmp_path):
         path = self.make_input(tmp_path)
         result = runner.invoke(main, ["scan", str(path), "--measure", "Y", "--pseudocount", "1e308"])
@@ -462,9 +495,9 @@ class TestScan:
         [
             (["--top", "0"], "0 is not in the range x>=1"),
             (["--top", "-3"], "-3 is not in the range x>=1"),
-            (["--pseudocount", "-0.5"], "--pseudocount must be finite and >= 0, got -0.5"),
-            (["--pseudocount", "nan"], "--pseudocount must be finite and >= 0, got nan"),
-            (["--pseudocount", "inf"], "--pseudocount must be finite and >= 0, got inf"),
+            (["--pseudocount", "-0.5"], "pseudocount must be finite and >= 0, got -0.5"),
+            (["--pseudocount", "nan"], "pseudocount must be finite and >= 0, got nan"),
+            (["--pseudocount", "inf"], "pseudocount must be finite and >= 0, got inf"),
         ],
     )
     def test_bad_top_or_pseudocount_exits_2(self, runner, tmp_path, args, message):

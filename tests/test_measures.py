@@ -523,6 +523,22 @@ class TestMarginLimits:
             margin_limit(MeasureKind("yule_y"), 1.0, "x", "+", 0.0)
         with pytest.raises(ValueError):
             margin_limit(MeasureKind("yule_y"), 1.0, "y", 0, 0.0)
+
+    @pytest.mark.parametrize("direction", [True, False, np.True_, np.False_], ids=repr)
+    def test_bool_direction_is_rejected(self, direction):
+        # True == 1, but a bool is not a direction.
+        with pytest.raises(ValueError, match="direction must be"):
+            margin_limit(MeasureKind("d_prime"), 1.0, "y", direction, 0.5)
+
+    def test_sign_and_number_directions_agree(self):
+        kind = MeasureKind("d_prime")
+        plus = margin_limit(kind, 1.0, "y", "+", 0.5)
+        minus = margin_limit(kind, 1.0, "y", "-", 0.5)
+        assert plus != minus
+        for direction in (1, 1.0, np.int64(1), np.float64(1.0)):
+            assert margin_limit(kind, 1.0, "y", direction, 0.5) == plus
+        for direction in (-1, -1.0, np.int64(-1)):
+            assert margin_limit(kind, 1.0, "y", direction, 0.5) == minus
         with pytest.raises(UnsupportedKind):
             margin_limit(MeasureKind("entropy"), 1.0, "y", "+", 0.0)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +218,19 @@ class TestCountPair:
         with pytest.raises(ValueError):
             count_pair(m, 1, 1)
 
+    @pytest.mark.parametrize(
+        "i,j,bad", [(-1, 2, "-1"), (0, 3, "3"), (True, 2, "True"), (0, 1.0, "1.0")]
+    )
+    def test_index_outside_the_markers_rejected(self, i, j, bad):
+        # -1 would alias marker 2, and True would index as a mask.
+        m = matrix_from(SMALL)
+        with pytest.raises(ValueError, match=rf"integer in \[0, 3\), got {bad}$"):
+            count_pair(m, i, j)
+
+    def test_numpy_integer_indices(self):
+        m = matrix_from(SMALL)
+        assert count_pair(m, np.int64(0), np.intp(1)) == count_pair(m, 0, 1)
+
 
 class TestCountsToTable:
     def test_pseudocount_half(self):
@@ -239,6 +254,22 @@ class TestCountsToTable:
         with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
             counts_to_table((1, 1, 1, 1), pseudocount)
         assert not isinstance(info.value, DegenerateTable)
+
+    @pytest.mark.parametrize(
+        "pseudocount", [True, False, np.True_, "0.5", None, Decimal("0.5")], ids=repr
+    )
+    def test_non_real_or_bool_pseudocount(self, pseudocount):
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
+            counts_to_table((1, 2, 3, 4), pseudocount)
+        assert not isinstance(info.value, DegenerateTable)
+
+    @pytest.mark.parametrize(
+        "pseudocount,same_as",
+        [(np.float32(0.5), 0.5), (1, 1.0), (Fraction(1, 2), 0.5)],
+        ids=["float32", "int", "Fraction"],
+    )
+    def test_any_real_pseudocount(self, pseudocount, same_as):
+        assert counts_to_table((1, 2, 3, 4), pseudocount) == counts_to_table((1, 2, 3, 4), same_as)
 
     def test_shrinkage_reduces_association(self):
         counts = (50, 0, 25, 25)
@@ -283,6 +314,20 @@ class TestScan:
         with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
             scan(m, [q], q, top_k=5, pseudocount=pseudocount)
         assert not isinstance(info.value, DegenerateTable)
+
+    @pytest.mark.parametrize("pseudocount", [True, np.True_, "0.5", None], ids=repr)
+    def test_non_real_or_bool_pseudocount(self, pseudocount):
+        m = matrix_from(SMALL)
+        q = MeasureKind("yule_q")
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
+            scan(m, [q], q, top_k=5, pseudocount=pseudocount)
+        assert not isinstance(info.value, DegenerateTable)
+
+    @pytest.mark.parametrize("pseudocount", [np.float32(0.5), Fraction(1, 2)], ids=repr)
+    def test_any_real_pseudocount(self, pseudocount):
+        m = matrix_from(SMALL)
+        q = MeasureKind("yule_q")
+        assert scan(m, [q], q, 3, pseudocount) == scan(m, [q], q, 3, 0.5)
 
     @pytest.mark.parametrize("top_k", [2.5, math.nan, True, 0])
     def test_top_k_must_be_a_positive_integer(self, top_k):
