@@ -131,12 +131,14 @@ def grid(measure_name, odds_ratio, half_width, step, n, output):
 @click.option("--odds-ratio", "odds_ratio", required=True, type=float)
 def critical(odds_ratio):
     """Critical tables of entropy at fixed odds-ratio (CSV lines)."""
+    lines = []
     for pt in _checked(critical_points, odds_ratio):
         cells = ",".join(f"{p:.12g}" for p in pt.table.cells)
-        click.echo(
+        lines.append(
             f"{pt.branch},{pt.classification},{cells},"
-            f"{pt.coords.y:.12g},{pt.coords.z:.12g}"
+            f"{pt.coords.y:.12g},{pt.coords.z:.12g}\n"
         )
+    click.echo("".join(lines), nl=False)
 
 
 @main.command("scan")

@@ -208,13 +208,28 @@ def count_pair(matrix, i, j):
     return n00, n01, n10, n11
 
 
+def _float_pseudocount(pseudocount):
+    """pseudocount as a float; ValueError unless it is a real >= 0, finite as a
+    double, and not a bool."""
+    if isinstance(pseudocount, numbers.Real) and not isinstance(pseudocount, bool):
+        try:
+            value = float(pseudocount)
+        except OverflowError:  # an int or a Fraction past the double range
+            value = math.inf
+        if pseudocount >= 0 and value < math.inf:
+            return value
+    raise ValueError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
+
+
 def counts_to_table(counts, pseudocount):
     """Probability table proportional to count + pseudocount per cell; a pseudocount
-    that is not a finite real >= 0, or is a bool, raises ValueError."""
-    if (isinstance(pseudocount, bool) or not isinstance(pseudocount, numbers.Real)
-            or not (math.isfinite(pseudocount) and pseudocount >= 0.0)):
-        raise ValueError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
-    cells = [c + float(pseudocount) for c in counts]
+    that is not a finite real >= 0, or is a bool, raises ValueError, and a zero
+    cell or a count past the double range raises DegenerateTable."""
+    alpha = _float_pseudocount(pseudocount)
+    try:
+        cells = [c + alpha for c in counts]
+    except OverflowError:
+        raise DegenerateTable(f"a count is past the double range: counts {tuple(counts)}") from None
     if any(c <= 0.0 for c in cells):
         raise DegenerateTable(
             f"zero cell with pseudocount {pseudocount}: counts {tuple(counts)}"
@@ -225,8 +240,8 @@ def counts_to_table(counts, pseudocount):
 def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """Evaluate all marker pairs and return the top_k by |rank_by| value.
 
-    The arguments (top_k an integer >= 1) and the table of the first pair,
-    where a bad pseudocount fails, are checked before any work.  The counts
+    The arguments (top_k an integer >= 1, pseudocount a finite real >= 0)
+    and the table of the first pair are checked before any work.  The counts
     of every pair come from three matrix products, in float32 when
     n_samples <= 2**24, where its integer sums are exact, and in float64
     above.  Pairs (i, j), j > i, are numbered in ``np.triu_indices`` order
@@ -245,6 +260,7 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
         raise ValueError(f"top_k must be an integer, got {top_k!r}")
     if top_k <= 0:
         raise ValueError(f"top_k must be positive, got {top_k!r}")
+    pseudocount = _float_pseudocount(pseudocount)
     ids = matrix.marker_ids
     n_markers = matrix.n_markers
     if n_markers < 2:
@@ -258,7 +274,6 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
             raise DegenerateTable(f"pair ({ids[i]}, {ids[j]}): {exc}") from exc
 
     table_or_raise(0, 1, count_pair(matrix, 0, 1))
-    pseudocount = float(pseudocount)  # a real number, checked by counts_to_table
 
     dtype = np.float32 if matrix.n_samples <= _FLOAT32_SAMPLES else np.float64
     seen = (matrix.data != _MISSING).astype(dtype)

@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,10 +59,11 @@ _CELL_NAMES = ("p00", "p01", "p10", "p11")
 
 
 def _check_positive(value, what):
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise DegenerateTable(f"{what} must be a positive real, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
+    if type(value) is not float:  # a float needs no type check or conversion
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise DegenerateTable(f"{what} must be a positive real, got {value!r}")
+        value = float(value)
+    if not 0.0 < value < math.inf:
         raise DegenerateTable(f"{what} must be finite and > 0, got {value!r}")
     return value
 
@@ -86,7 +88,7 @@ class ProbTable:
         weights = [_check_positive(v, f"cell {n}") for n, v in zip(_CELL_NAMES, self.cells)]
         if not math.isfinite(cell_total(weights)):
             raise DegenerateTable(f"cells do not have a finite positive sum: {weights}")
-        _set_cells(self, *(v.tolist() for v in cells_and_logs(np.array(weights))))
+        _set_cells(self, *_cells_and_logs(weights, max, min))
 
     @property
     def cells(self):
@@ -124,11 +126,11 @@ class MarginCoords:
     z: float
 
     def __post_init__(self):
+        coords = self.__dict__
         for name in ("x", "y", "z"):
-            value = float(getattr(self, name))
+            value = coords[name] = float(coords[name])
             if not math.isfinite(value):
                 raise ValueError(f"coordinate {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
 
 
 class BoundaryKind(Enum):
@@ -152,8 +154,10 @@ make_table = ProbTable
 
 
 def _set_cells(table, cells, logs):
-    """Set a frozen table's normalised cells and their logs as they are; return it."""
-    table.__dict__.update(zip(_CELL_NAMES, cells), logs=tuple(logs))
+    """Set a frozen table's normalised cells and their logs, as floats; return it."""
+    attrs = table.__dict__
+    attrs["p00"], attrs["p01"], attrs["p10"], attrs["p11"] = map(float, cells)
+    attrs["logs"] = tuple(map(float, logs))
     return table
 
 
@@ -181,29 +185,63 @@ def theta(t):
     )
 
 
+# The formulas below take the four components of a table (or three
+# coordinates) and return lists of four.  On the Python floats of one table
+# they run with the builtin max and min; on arrays (a grid block, a scan
+# tile), with np.maximum and np.minimum.  Either way exp, log and log1p are
+# numpy's ufuncs, so one table and a column of an array get the same bits.
+# ``v[i] -= t`` rebinds a float but updates an array the formula made in
+# place: fewer arrays alive at once keep a grid block and a scan tile fast.
+
+
+def _largest(v, maximum):
+    """The largest of four components."""
+    return maximum(maximum(v[0], v[1]), maximum(v[2], v[3]))
+
+
 def psi_cells(x, y, z):
     """Cells and logs of the table proportional to (e^{x+y+z}, e^y; e^z, e^x).
 
-    Returns ``(cells, logs)``, two arrays of shape (4, ...); broadcasts over
-    coordinate arrays; ``psi`` is the one-point form.  The maximal exponent is
-    subtracted before exponentiation and dominated weights are floored at
-    exp(_EXP_FLOOR), so coordinates with |x|, |y|, |z| <= 500 never overflow
-    or produce a zero cell; the logs are the exponents normalised by
-    ``_log_total``, exact however small a cell.  The exponents are centred
-    on (x + y + z) / 2 and written in halves of x, u = y + z and w = y - z,
-    so that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps p00 with
-    p11 and p01 with p10 exactly.
+    Returns ``(cells, logs)``, two lists of four components that broadcast
+    over coordinate arrays; ``psi`` is the one-point form.  The maximal
+    exponent is subtracted before exponentiation and dominated weights are
+    floored at exp(_EXP_FLOOR), so coordinates with |x|, |y|, |z| <= 500
+    never overflow or produce a zero cell; the logs are the exponents
+    normalised by ``_log_total``, exact however small a cell.  The exponents
+    are centred on (x + y + z) / 2 and written in halves of x, u = y + z and
+    w = y - z, so that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps
+    p00 with p11 and p01 with p10 exactly.  Three floats up to
+    _PSI_NO_OVERFLOW take the float path of ``psi``; past it, numpy's
+    arithmetic reports an overflow that Python's would not.
+    """
+    if type(x) is type(y) is type(z) is float and max(abs(x), abs(y), abs(z)) <= _PSI_NO_OVERFLOW:
+        return _psi_cells(x, y, z, max, min)
+    return _psi_cells(x, y, z, np.maximum, np.minimum)
+
+
+def _psi_cells(x, y, z, maximum, minimum):
+    logs = _centred_exponents(x, y, z, maximum)
+    cells = [np.exp(maximum(l, _EXP_FLOOR)) for l in logs]
+    total, log_total = cell_total(cells), _log_total(cells, maximum, minimum)
+    for i in range(4):
+        cells[i] /= total
+        logs[i] -= log_total
+    return cells, logs
+
+
+def _centred_exponents(x, y, z, maximum):
+    """The four cell exponents of psi at (x, y, z), less the largest of them.
+
+    A function of its own, so that its intermediate arrays are freed before
+    the exponentials: kept alive, they doubled the time of a grid block.
     """
     hx, hy, hz = 0.5 * x, 0.5 * y, 0.5 * z
     hu, hw = hy + hz, hy - hz
-    # In place: a new (4, ...) array per step doubled the time of a grid block.
-    logs = np.array([hx + hu, hw - hx, -hx - hw, hx - hu])
-    logs -= logs.max(axis=0)
-    cells = np.exp(np.maximum(logs, _EXP_FLOOR))
-    total = cell_total(cells)
-    logs -= _log_total(cells)
-    cells /= total
-    return cells, logs
+    exponents = [hx + hu, hw - hx, -hx - hw, hx - hu]
+    top = _largest(exponents, maximum)
+    for i in range(4):
+        exponents[i] -= top
+    return exponents
 
 
 def cell_total(weights):
@@ -212,9 +250,15 @@ def cell_total(weights):
 
 
 def cells_and_logs(weights):
-    """Normalised cells, none below _CELL_FLOOR, and ``log_cells`` of (4, ...) weights."""
-    cells = weights / cell_total(weights)
-    return np.maximum(cells, _CELL_FLOOR, out=cells), log_cells(weights)
+    """Normalised cells, none below _CELL_FLOOR, and ``log_cells`` of (4, ...)
+    weights: two lists of four arrays."""
+    return _cells_and_logs(weights, np.maximum, np.minimum)
+
+
+def _cells_and_logs(weights, maximum, minimum):
+    total = cell_total(weights)
+    cells = [maximum(w / total, _CELL_FLOOR) for w in weights]
+    return cells, _log_cells(weights, maximum, minimum)
 
 
 def half_log_odds(l):
@@ -229,21 +273,28 @@ def log_cells(weights):
     Taken relative to the largest weight (see _log_total), so that a cell
     holding all but 3e-300 of the mass gets -3e-300, not log(1.0) = 0.
     """
-    logs = np.log(weights)
-    logs -= logs.max(axis=0)
-    logs -= _log_total(weights / weights.max(axis=0))
+    return np.array(_log_cells(weights, np.maximum, np.minimum))
+
+
+def _log_cells(weights, maximum, minimum):
+    logs = [np.log(w) for w in weights]
+    top, w_top = _largest(logs, maximum), _largest(weights, maximum)
+    log_total = _log_total([w / w_top for w in weights], maximum, minimum)
+    for i in range(4):
+        logs[i] -= top
+        logs[i] -= log_total
     return logs
 
 
-def _log_total(weights):
-    """log of the sum of a (4, ...) array of weights whose largest is exactly 1.
+def _log_total(weights, maximum, minimum):
+    """log of the sum of four weights whose largest is exactly 1.
 
     log1p of the other three, found by min and max in the pairs (w00, w11)
     and (w01, w10), as they may sum to less than the rounding of 1.
     """
-    pairs = weights[:2], weights[3:1:-1]
-    low, high = np.minimum(*pairs), np.maximum(*pairs)
-    return np.log1p((low[0] + low[1]) + np.minimum(high[0], high[1]))
+    w00, w01, w10, w11 = weights
+    low = minimum(w00, w11) + minimum(w01, w10)
+    return np.log1p(low + minimum(maximum(w00, w11), maximum(w01, w10)))
 
 
 def psi(c):
@@ -253,21 +304,18 @@ def psi(c):
     log-ratio of two cells, such as x + y, overflows, which takes some
     |coordinate| above 8.9e307.
     """
-    if max(abs(c.x), abs(c.y), abs(c.z)) <= _PSI_NO_OVERFLOW:
-        cells, logs = psi_cells(c.x, c.y, c.z)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells, logs = psi_cells(c.x, c.y, c.z)
-        if not np.isfinite(logs).all():
-            raise DegenerateTable(f"the table at {c} has a cell or log that is not finite")
-    return _set_cells(object.__new__(ProbTable), cells.tolist(), logs.tolist())
+    # Python's arithmetic overflows to inf, and inf - inf gives nan, silently.
+    cells, logs = _psi_cells(c.x, c.y, c.z, max, min)
+    if not all(map(math.isfinite, logs)):
+        raise DegenerateTable(f"the table at {c} has a cell or log that is not finite")
+    return _set_cells(object.__new__(ProbTable), cells, logs)
 
 
 # The cell order of each symmetry; the logs move with the cells.
 _SYMMETRY_OPS = {
-    "transpose_markers": (0, 2, 1, 3),
-    "swap_rows": (2, 3, 0, 1),
-    "swap_cols": (1, 0, 3, 2),
+    "transpose_markers": itemgetter(0, 2, 1, 3),
+    "swap_rows": itemgetter(2, 3, 0, 1),
+    "swap_cols": itemgetter(1, 0, 3, 2),
 }
 
 
@@ -279,8 +327,7 @@ def symmetry_apply(t, op):
     """
     if op in _SYMMETRY_OPS:
         order = _SYMMETRY_OPS[op]
-        cells, logs = ([v[i] for i in order] for v in (t.cells, t.logs))
-        return _set_cells(object.__new__(ProbTable), cells, logs)
+        return _set_cells(object.__new__(ProbTable), order(t.cells), order(t.logs))
     raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
 
 

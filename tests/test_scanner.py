@@ -271,6 +271,16 @@ class TestCountsToTable:
     def test_any_real_pseudocount(self, pseudocount, same_as):
         assert counts_to_table((1, 2, 3, 4), pseudocount) == counts_to_table((1, 2, 3, 4), same_as)
 
+    def test_pseudocount_past_the_double_range(self):
+        # A Python int is a real that may not fit a double.
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
+            counts_to_table((1, 2, 3, 4), 10**400)
+        assert not isinstance(info.value, DegenerateTable)
+
+    def test_count_past_the_double_range_is_degenerate(self):
+        with pytest.raises(DegenerateTable, match="past the double range"):
+            counts_to_table((10**400, 1, 1, 1), 0.5)
+
     def test_shrinkage_reduces_association(self):
         counts = (50, 0, 25, 25)
         magnitudes = [
@@ -314,6 +324,15 @@ class TestScan:
         with pytest.raises(ValueError, match="pseudocount must be finite and >= 0") as info:
             scan(m, [q], q, top_k=5, pseudocount=pseudocount)
         assert not isinstance(info.value, DegenerateTable)
+
+    @pytest.mark.parametrize("pseudocount", [math.nan, -1.0, 10**400], ids=repr)
+    def test_bad_pseudocount_fails_a_matrix_of_one_marker(self, pseudocount):
+        # Fewer than two markers give no pairs, but the argument is still checked.
+        m = BinaryMatrix(["a"], np.zeros((3, 1), np.int8))
+        q = MeasureKind("yule_q")
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0"):
+            scan(m, [q], q, 5, pseudocount=pseudocount)
+        assert scan(m, [q], q, 5) == []
 
     @pytest.mark.parametrize("pseudocount", [True, np.True_, "0.5", None], ids=repr)
     def test_non_real_or_bool_pseudocount(self, pseudocount):

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import re
 import warnings
 
 import mpmath
@@ -31,6 +32,8 @@ from twobytwo import (
     theta,
     yule_y,
 )
+from twobytwo import tables
+from twobytwo.tables import cell_total, cells_and_logs
 from conftest import max_roundtrip_error, random_tables
 
 MIDPOINT = make_table(1, 1, 1, 1)
@@ -322,6 +325,91 @@ class TestLogCells:
             ("swap_cols", (1, 0, 3, 2)),
         ):
             assert symmetry_apply(t, op).logs == tuple(t.logs[i] for i in order)
+
+
+def bits(values):
+    """The 64-bit patterns of float values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestOneTableIsAColumnOfAnArray:
+    """psi and ProbTable, on the floats of one table, give the bits of
+    psi_cells and cells_and_logs on arrays: a table is a column of a grid
+    block or a scan tile."""
+
+    def test_psi_equals_psi_cells_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        corners = np.array(list(itertools.product((-500.0, 0.0, 500.0), repeat=3)))
+        magnitudes = 10.0 ** rng.uniform(-300, np.log10(500), size=(1_000, 3))
+        near_independence = np.column_stack(
+            [rng.uniform(-1e-6, 1e-6, 2_000), rng.uniform(-30, 30, size=(2_000, 2))]
+        )
+        points = np.concatenate([
+            corners,
+            rng.uniform(-500, 500, size=(5_000, 3)),
+            rng.uniform(-20, 20, size=(2_000, 3)),
+            magnitudes * rng.choice((-1.0, 1.0), size=magnitudes.shape),
+            near_independence,
+        ])
+        assert len(points) >= 10_000
+        cells, logs = (np.array(a) for a in psi_cells(*points.T))
+        one_by_one = [psi(MarginCoords(*point)) for point in points.tolist()]
+        assert (bits([t.cells for t in one_by_one]) == bits(cells.T)).all()
+        assert (bits([t.logs for t in one_by_one]) == bits(logs.T)).all()
+
+    def test_probtable_equals_cells_and_logs_bit_for_bit(self):
+        rng = np.random.default_rng(42)
+        n = 12_000
+        weights = np.concatenate([
+            rng.uniform(0.0, 1.0, size=(4, n // 3)),
+            rng.integers(0, 1_000, size=(4, n // 3)) + 0.5,
+            10.0 ** rng.uniform(-323, 308, size=(4, n // 3)),
+        ], axis=1)
+        # The extremes of the double range, in random cells.
+        for extreme in (5e-324, 1e308):
+            weights[rng.integers(0, 4, n // 4), rng.integers(0, n, n // 4)] = extreme
+        with np.errstate(over="ignore"):  # ProbTable rejects an infinite total
+            ok = (weights > 0.0).all(axis=0) & np.isfinite(cell_total(weights))
+        weights = weights[:, ok]
+        assert weights.shape[1] > 10_000
+        assert (weights == 5e-324).any() and (weights == 1e308).any()
+        cells, logs = (np.array(a) for a in cells_and_logs(weights))
+        one_by_one = [ProbTable(*column) for column in weights.T.tolist()]
+        assert (bits([t.cells for t in one_by_one]) == bits(cells.T)).all()
+        assert (bits([t.logs for t in one_by_one]) == bits(logs.T)).all()
+
+    def test_psi_past_the_no_overflow_bound_fails_where_psi_cells_does(self):
+        # Where a log of the array form is not finite, psi raises; elsewhere it
+        # gives the same bits.  No warning either way (warnings are errors).
+        rng = np.random.default_rng(43)
+        magnitudes = 10.0 ** rng.uniform(307.0, np.log10(1.7e308), size=(2_000, 3))
+        points = magnitudes * rng.choice((-1.0, 0.0, 1.0), size=magnitudes.shape)
+        assert (np.abs(points).max(axis=1) > tables._PSI_NO_OVERFLOW).mean() > 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells, logs = (np.array(a) for a in psi_cells(*points.T))
+        finite = np.isfinite(logs).all(axis=0)
+        assert 100 < finite.sum() < len(points) - 100
+        for point, ok, want_cells, want_logs in zip(points.tolist(), finite, cells.T, logs.T):
+            if ok:
+                t = psi(MarginCoords(*point))
+                assert (bits(t.cells) == bits(want_cells)).all(), point
+                assert (bits(t.logs) == bits(want_logs)).all(), point
+            else:
+                with pytest.raises(DegenerateTable, match="not finite"):
+                    psi(MarginCoords(*point))
+
+    @pytest.mark.parametrize(
+        "coords,message",
+        [
+            ((math.inf, math.nan, 0.0), "coordinate x must be finite, got inf"),
+            ((0.0, math.nan, -math.inf), "coordinate y must be finite, got nan"),
+            ((0.0, 1.0, -math.inf), "coordinate z must be finite, got -inf"),
+            ((np.float64(1.0), "inf", 2.0), "coordinate y must be finite, got inf"),
+        ],
+    )
+    def test_margin_coords_names_the_first_coordinate_that_is_not_finite(self, coords, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MarginCoords(*coords)
 
 
 class TestSymmetry:
