@@ -35,7 +35,7 @@ import numpy as np
 
 from .grids import GridSpec, grid_axis, grid_blocks
 from .measures import MeasureKind
-from .tables import MarginCoords, ProbTable, psi, symmetry_apply, theta
+from .tables import MarginCoords, ProbTable, psi, real, symmetry_apply, theta
 
 __all__ = [
     "DomainError",
@@ -76,8 +76,7 @@ def _bisect(f, lo, hi):
 
 def lambert_w0(v):
     """Principal real branch of Lambert's W (inverse of w*e^w), v >= -1/e."""
-    v = float(v)
-    if not math.isfinite(v):
+    if not math.isfinite(v := real(v)):
         raise DomainError(f"lambert_w0 needs a finite argument, got {v!r}")
     if v <= -_INV_E:
         if v > -_INV_E * (1.0 + 1e-12):
@@ -96,8 +95,7 @@ def lambert_w0(v):
 
 def lambert_w_minus1(v):
     """Lower real branch of Lambert's W, defined for v in [-1/e, 0)."""
-    v = float(v)
-    if not math.isfinite(v) or v >= 0.0:
+    if not math.isfinite(v := real(v)) or v >= 0.0:
         raise DomainError(f"lambert_w_minus1 domain is [-1/e, 0), got {v!r}")
     if v <= -_INV_E:
         if v > -_INV_E * (1.0 + 1e-12):
@@ -156,8 +154,7 @@ def critical_points(big_l):
     (L_upper has the larger p01).  Odds-ratios below 1 are solved at 1/L
     and mapped back by a column swap.
     """
-    big_l = float(big_l)
-    if not (math.isfinite(big_l) and big_l > 0.0 and math.isfinite(1.0 / big_l)):
+    if not (math.isfinite(big_l := real(big_l)) and big_l > 0.0 and math.isfinite(1.0 / big_l)):
         raise DomainError(
             f"odds-ratio must be > 0 with a finite value and reciprocal, got {big_l!r}"
         )
@@ -192,8 +189,7 @@ def entropy_grid_argmax(big_l, half_width, step):
     and keeps the first maximising grid point in y-major order (the
     lexicographically smallest).  Returns (y_star, z_star, h_star).
     """
-    big_l = float(big_l)
-    if not math.isfinite(big_l) or big_l <= 0.0:
+    if not math.isfinite(big_l := real(big_l)) or big_l <= 0.0:
         raise DomainError(f"odds-ratio must be finite and > 0, got {big_l!r}")
     spec = GridSpec(_ENTROPY, big_l, half_width, step)
     axis = grid_axis(spec)

@@ -20,7 +20,7 @@ import orjson
 # eval_in_coords, evaluate and psi are the one-point forms of what grid_blocks
 # computes a block of rows at a time; perfbench/tracing.py wraps them here.
 from .measures import MeasureKind, eval_in_coords, evaluate
-from .tables import psi
+from .tables import psi, real
 
 __all__ = ["GridSpec", "grid_axis", "grid_blocks", "emit_grid"]
 
@@ -43,6 +43,8 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        for name in ("odds_ratio", "half_width", "step"):
+            object.__setattr__(self, name, real(getattr(self, name)))
         if not (math.isfinite(self.odds_ratio) and self.odds_ratio > 0.0):
             raise ValueError(f"odds_ratio must be > 0, got {self.odds_ratio!r}")
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .tables import MarginCoords, half_log_odds, psi_cells
+from .tables import MarginCoords, cell_total, half_log_odds, psi_cells, real
 
 __all__ = [
     "Measure",
@@ -111,9 +111,8 @@ def _kappa(p, l, n):
 
 
 def _sum_p_log_p(p, l):
-    """Sum of p * l as (t0 + t3) + (t1 + t2): the table symmetries keep every bit."""
-    t0, t1, t2, t3 = (pi * li for pi, li in zip(p, l))
-    return (t0 + t3) + (t1 + t2)
+    """Sum of p * l as ``cell_total``: the table symmetries keep every bit."""
+    return cell_total([pi * li for pi, li in zip(p, l)])
 
 
 def _entropy(p, l, n):
@@ -237,7 +236,7 @@ class MeasureKind:
         if self.tag not in MEASURES:
             raise ValueError(f"unknown measure tag {self.tag!r}")
         # The other measures drop n, so that their kinds compare equal.
-        n = float(self.n) if self.measure.uses_n else None
+        n = real(self.n) if self.measure.uses_n else None
         if n is not None and not (math.isfinite(n) and n >= 0.0):
             raise ValueError(f"{self.tag} needs n >= 0, got {self.n!r}")
         object.__setattr__(self, "n", n)
@@ -322,6 +321,6 @@ def margin_limit(kind, x, axis, direction, other):
     if limit is None:
         raise UnsupportedKind(f"{kind.tag} has no closed-form axis limit")
     # A NaN or infinite x or held coordinate (z on the y axis, y on z) raises here.
-    MarginCoords(x, *((0.0, other) if axis == "y" else (other, 0.0)))
+    c = MarginCoords(x, *((0.0, other) if axis == "y" else (other, 0.0)))
     # As numpy floats, so that an intermediate inf or nan raises under _strict.
-    return float(limit(np.float64(x), s, np.float64(other), kind.n))
+    return float(limit(np.float64(c.x), s, np.float64(c.z if axis == "y" else c.y), kind.n))

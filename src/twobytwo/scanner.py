@@ -18,7 +18,7 @@ import numpy as np
 
 # evaluate is not called here; perfbench/tracing.py wraps scanner.evaluate.
 from .measures import MeasureKind, evaluate
-from .tables import DegenerateTable, ProbTable, cells_and_logs
+from .tables import DegenerateTable, ProbTable, cells_and_logs, real
 
 __all__ = [
     "ParseError",
@@ -209,15 +209,11 @@ def count_pair(matrix, i, j):
 
 
 def _float_pseudocount(pseudocount):
-    """pseudocount as a float; ValueError unless it is a real >= 0, finite as a
-    double, and not a bool."""
-    if isinstance(pseudocount, numbers.Real) and not isinstance(pseudocount, bool):
-        try:
-            value = float(pseudocount)
-        except OverflowError:  # an int or a Fraction past the double range
-            value = math.inf
-        if pseudocount >= 0 and value < math.inf:
-            return value
+    """pseudocount as a float; ValueError unless it is a real >= 0 (as given: a
+    tiny negative Fraction rounds to -0.0), finite as a double, not a bool."""
+    value = real(pseudocount)
+    if 0.0 <= value < math.inf and pseudocount >= 0:
+        return value
     raise ValueError(f"pseudocount must be finite and >= 0, got {pseudocount!r}")
 
 

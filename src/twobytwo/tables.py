@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "DegenerateTable",
+    "real",
     "ProbTable",
     "MarginCoords",
     "BoundaryKind",
@@ -30,7 +31,6 @@ __all__ = [
     "theta",
     "psi",
     "psi_cells",
-    "log_cells",
     "cell_total",
     "cells_and_logs",
     "half_log_odds",
@@ -58,14 +58,25 @@ _PSI_NO_OVERFLOW = 2.0**1022
 _CELL_NAMES = ("p00", "p01", "p10", "p11")
 
 
+def real(value):
+    """A caller's number as a float, the one rule of the public entry points:
+    a float as it is, a real past the double range as +-inf, and a bool or a
+    non-real as nan, which each caller's own finiteness check then rejects."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction past the double range
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_positive(value, what):
-    if type(value) is not float:  # a float needs no type check or conversion
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise DegenerateTable(f"{what} must be a positive real, got {value!r}")
-        value = float(value)
-    if not 0.0 < value < math.inf:
+    checked = real(value)
+    if not 0.0 < checked < math.inf:
         raise DegenerateTable(f"{what} must be finite and > 0, got {value!r}")
-    return value
+    return checked
 
 
 @dataclass(frozen=True)
@@ -75,8 +86,8 @@ class ProbTable:
     Raw positive weights are accepted (e.g. counts plus pseudocounts); the
     constructor divides by their ``cell_total``, so entries are proportional
     to the inputs and sum to 1.  ``logs``, which the measures and ``theta``
-    read, holds ``log_cells`` of the weights: the natural logs of the
-    normalised cells, exact where a cell rounds to 1 or to a subnormal.
+    read, holds the natural logs of the normalised cells, exact where a
+    cell rounds to 1 or to a subnormal.
     """
 
     p00: float
@@ -128,9 +139,9 @@ class MarginCoords:
     def __post_init__(self):
         coords = self.__dict__
         for name in ("x", "y", "z"):
-            value = coords[name] = float(coords[name])
-            if not math.isfinite(value):
-                raise ValueError(f"coordinate {name} must be finite, got {value!r}")
+            if not math.isfinite(value := real(coords[name])):
+                raise ValueError(f"coordinate {name} must be finite, got {coords[name]!r}")
+            coords[name] = value
 
 
 class BoundaryKind(Enum):
@@ -250,8 +261,8 @@ def cell_total(weights):
 
 
 def cells_and_logs(weights):
-    """Normalised cells, none below _CELL_FLOOR, and ``log_cells`` of (4, ...)
-    weights: two lists of four arrays."""
+    """Normalised cells, none below _CELL_FLOOR, and their exact natural logs
+    of (4, ...) weights: two lists of four arrays."""
     return _cells_and_logs(weights, np.maximum, np.minimum)
 
 
@@ -267,16 +278,9 @@ def half_log_odds(l):
     return 0.5 * ((l00 + l11) - (l01 + l10))
 
 
-def log_cells(weights):
-    """Natural logs of weights / sum(weights) for a (4, ...) array of weights.
-
-    Taken relative to the largest weight (see _log_total), so that a cell
-    holding all but 3e-300 of the mass gets -3e-300, not log(1.0) = 0.
-    """
-    return np.array(_log_cells(weights, np.maximum, np.minimum))
-
-
 def _log_cells(weights, maximum, minimum):
+    """Logs of weights / sum(weights), relative to the largest weight (see
+    _log_total): a cell with all but 3e-300 of the mass gets -3e-300, not 0."""
     logs = [np.log(w) for w in weights]
     top, w_top = _largest(logs, maximum), _largest(weights, maximum)
     log_total = _log_total([w / w_top for w in weights], maximum, minimum)
@@ -351,7 +355,7 @@ def ray_limit(direction):
     its length.  Returns (cells, BoundaryClass) where cells is a plain
     4-tuple because boundary tables are not ProbTable values.
     """
-    dx, dy, dz = (float(d) for d in direction)
+    dx, dy, dz = map(real, direction)
     if not all(math.isfinite(d) for d in (dx, dy, dz)):
         raise ValueError(f"direction must be finite, got {direction!r}")
     scale = max(abs(dx), abs(dy), abs(dz))

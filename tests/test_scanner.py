@@ -248,6 +248,9 @@ class TestCountsToTable:
     def test_negative_pseudocount(self):
         with pytest.raises(ValueError):
             counts_to_table((1, 1, 1, 1), -0.1)
+        # Negative, although its float rounds to -0.0.
+        with pytest.raises(ValueError, match="pseudocount must be finite and >= 0"):
+            counts_to_table((1, 2, 3, 4), Fraction(-1, 10**400))
 
     @pytest.mark.parametrize("pseudocount", [math.nan, math.inf, -math.inf])
     def test_non_finite_pseudocount(self, pseudocount):
@@ -317,7 +320,7 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(m, [q], q, top_k=0)
 
-    @pytest.mark.parametrize("pseudocount", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("pseudocount", [-0.5, math.nan, math.inf, Fraction(-1, 10**400)])
     def test_bad_pseudocount_is_not_blamed_on_a_pair(self, pseudocount):
         m = matrix_from(SMALL)
         q = MeasureKind("yule_q")
