@@ -6,7 +6,8 @@ coordinates (y, z).  The emitted CSV (header ``y,z,value``) is the raw
 data behind contour/heatmap plots.
 
 Each value is the measure's one kernel on the cells and logs that
-``tables.psi_cells`` gives at its point: ``eval_in_coords`` there.
+``tables.psi_cells`` gives at its point: ``eval_in_coords``, ``evaluate``
+of ``psi``, there.
 """
 
 from __future__ import annotations

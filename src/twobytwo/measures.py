@@ -6,10 +6,12 @@ exact natural logs ``l`` (``p`` may be rounded to a subnormal, ``l`` is
 not): lambda, Q, Y, D, D', r, kappa and Hdiag read ``l`` only, H, MI and
 sMI weight by ``p`` and take their logs from ``l``, and HS joins Y, Hdiag
 and H.  The kernels broadcast over arrays.  ``evaluate`` runs one on a
-ProbTable, ``eval_in_coords`` (and the grids) on ``tables.psi_cells`` at
-margin coordinates, the scanner on counts, so a measure gives one number
-however its table arrives; ``margin_limit`` gives the closed-form limits
-along one margin axis.
+ProbTable, and ``eval_in_coords`` is ``evaluate`` of ``tables.psi`` at
+margin coordinates; the grids run a kernel on ``tables.psi_cells``, the
+scanner on counts, so a measure gives one number however its table
+arrives.  D, D', r and kappa take log|D| from the larger diagonal product,
+so that no sum of logs cancels.  ``margin_limit`` gives the closed-form
+limits along one margin axis.
 
 Conventions: mutual information, entropy and the HS exponent use base-2
 logarithms; the coordinates themselves are natural-log scale.
@@ -24,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .tables import MarginCoords, cell_total, half_log_odds, psi_cells, real
+from .tables import MarginCoords, cell_total, half_log_odds, psi, psi_cells, real
 
 __all__ = [
     "Measure",
@@ -76,17 +78,18 @@ def _log_margins(l):
     return (*_logaddexp(l[0::2], l[1::2]), *_logaddexp(l[:2], l[2:]))
 
 
-def _log_e2x_minus_1(x):
-    """log |e^{2x} - 1| for x != 0; 0 at x = 0, where callers scale by sign(x)."""
-    a = abs(x)
+def _log1m_exp_2a(a):
+    """log(1 - e^{-2a}) for a > 0; 0 at a = 0, where callers scale by sign(x)."""
     # Past a = 19, 1 - e^{-2a} rounds to 1; the cap keeps -2a from overflowing.
-    return a + x + np.log((a == 0.0) - np.expm1(-2.0 * np.minimum(a, 19.0)))
+    return np.log((a == 0.0) - np.expm1(-2.0 * np.minimum(a, 19.0)))
 
 
 def _det_over(l, log_den):
-    """The determinant p00 p11 - p01 p10 = p01 p10 (e^{2x} - 1) over e^log_den."""
+    """The determinant p00 p11 - p01 p10 over e^log_den: sign(x) times the larger
+    diagonal product times 1 - e^{-2|x|}, so that no sum of logs cancels."""
     x = half_log_odds(l)
-    return np.sign(x) * np.exp(l[1] + l[2] + _log_e2x_minus_1(x) - log_den)
+    log_top = np.maximum(l[0] + l[3], l[1] + l[2])
+    return np.sign(x) * np.exp(log_top + _log1m_exp_2a(abs(x)) - log_den)
 
 
 def _d_prime(p, l, n):
@@ -169,7 +172,7 @@ def _d_prime_limit(x, s, other, n):
     a, sign = abs(x), np.sign(x)
     with np.errstate(over="ignore"):
         t = np.clip(sign * s * other - a, -800.0, 800.0)
-    return sign * np.exp(_log_e2x_minus_1(-a) - _logaddexp(t, 0.0))
+    return sign * np.exp(_log1m_exp_2a(a) - _logaddexp(t, 0.0))
 
 
 def _hs_limit(x, s, other, n):
@@ -275,12 +278,8 @@ def evaluate(kind, t):
 
 
 def eval_in_coords(kind, c):
-    """Evaluate a MeasureKind at margin coordinates.
-
-    The same kernel as ``evaluate``, on the cells and logs ``psi_cells``
-    gives at c, without building the table.
-    """
-    return float(kind.on_coords(c.x, c.y, c.z))
+    """Evaluate a MeasureKind at margin coordinates: ``evaluate`` of ``psi(c)``."""
+    return evaluate(kind, psi(c))
 
 
 # The direct form of each measure as a function of one table.

@@ -218,18 +218,18 @@ def _float_pseudocount(pseudocount):
 
 
 def counts_to_table(counts, pseudocount):
-    """Probability table proportional to count + pseudocount per cell; a pseudocount
-    that is not a finite real >= 0, or is a bool, raises ValueError, and a zero
-    cell or a count past the double range raises DegenerateTable."""
-    alpha = _float_pseudocount(pseudocount)
-    try:
-        cells = [c + alpha for c in counts]
-    except OverflowError:
-        raise DegenerateTable(f"a count is past the double range: counts {tuple(counts)}") from None
+    """Probability table proportional to count + pseudocount per cell; ValueError
+    unless each count is a real >= 0 (as given) and the pseudocount a finite one,
+    none a bool, and DegenerateTable for a zero cell or a count past the double range."""
+    alpha, counts = _float_pseudocount(pseudocount), tuple(counts)
+    cells = [real(c) for c in counts]
+    if not all(value >= 0.0 and c >= 0 for value, c in zip(cells, counts)):
+        raise ValueError(f"counts must be reals >= 0, got {counts}")
+    if math.inf in cells:
+        raise DegenerateTable(f"a count is past the double range: counts {counts}")
+    cells = [c + alpha for c in cells]
     if any(c <= 0.0 for c in cells):
-        raise DegenerateTable(
-            f"zero cell with pseudocount {pseudocount}: counts {tuple(counts)}"
-        )
+        raise DegenerateTable(f"zero cell with pseudocount {pseudocount}: counts {counts}")
     return ProbTable(*cells)
 
 

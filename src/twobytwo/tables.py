@@ -51,10 +51,6 @@ _EXP_FLOOR = -744.0
 # The smallest positive double, where cells_and_logs floors an underflowing cell.
 _CELL_FLOOR = 5e-324
 
-# Up to this |coordinate| no step of psi_cells overflows: an exponent is at
-# most 1.5 times it, so the log-ratio of two cells at most 3 times.
-_PSI_NO_OVERFLOW = 2.0**1022
-
 _CELL_NAMES = ("p00", "p01", "p10", "p11")
 
 
@@ -221,12 +217,8 @@ def psi_cells(x, y, z):
     normalised by ``_log_total``, exact however small a cell.  The exponents
     are centred on (x + y + z) / 2 and written in halves of x, u = y + z and
     w = y - z, so that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps
-    p00 with p11 and p01 with p10 exactly.  Three floats up to
-    _PSI_NO_OVERFLOW take the float path of ``psi``; past it, numpy's
-    arithmetic reports an overflow that Python's would not.
+    p00 with p11 and p01 with p10 exactly.
     """
-    if type(x) is type(y) is type(z) is float and max(abs(x), abs(y), abs(z)) <= _PSI_NO_OVERFLOW:
-        return _psi_cells(x, y, z, max, min)
     return _psi_cells(x, y, z, np.maximum, np.minimum)
 
 

@@ -50,6 +50,7 @@ ENTRY_POINTS = {
     "margin_limit other": (lambda v: margin_limit(MeasureKind("hs"), 1.0, "z", -1, v), ValueError),
     "ray_limit": (lambda v: ray_limit((1.0, v, 0.0)), ValueError),
     "counts_to_table": (lambda v: counts_to_table((1, 2, 3, 4), v), ValueError),
+    "counts_to_table count": (lambda v: counts_to_table((v, 2, 3, 4), 0.5), ValueError),
     "scan": (lambda v: scan(MATRIX, [Y], Y, 3, v), ValueError),
 }
 

@@ -137,7 +137,7 @@ class TestEmitGrid:
         assert len(grid) == 9 * 9
         for (y, z), value in grid.items():
             want = eval_in_coords(kind, MarginCoords(x, y, z))
-            assert abs(value - want) <= 1e-12, (y, z)
+            assert value == want, (y, z)
 
 
 def grid_rows(spec):

@@ -241,6 +241,16 @@ class TestMeasureKind:
         assert result.output == "Error: lambda: overflow encountered in exp\n"
 
 
+    @pytest.mark.parametrize("x", [1e10, -1e10, 1e16, -1e16, 5e307, -5e307])
+    def test_determinant_family_on_a_nearly_diagonal_table(self, x):
+        # The table at (x, 0, 0) is nearly (1/2, 0; 0, 1/2) for x > 0, and its
+        # mirror for x < 0: D = +-1/4, and D', r and kappa are +-1.
+        t = psi(MarginCoords(x, 0.0, 0.0))
+        sign = math.copysign(1.0, x)
+        assert d_raw(t) == 0.25 * sign
+        assert (d_prime(t), corr_r(t), kappa(t)) == (sign, sign, sign)
+
+
 class TestCoordinateForms:
     def test_cross_form_sweep(self):
         worst = max_cross_form_errors(count=2000, seed=41)

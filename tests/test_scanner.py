@@ -280,6 +280,12 @@ class TestCountsToTable:
             counts_to_table((1, 2, 3, 4), 10**400)
         assert not isinstance(info.value, DegenerateTable)
 
+    @pytest.mark.parametrize("count", [-1, -0.2], ids=repr)
+    def test_negative_count(self, count):
+        with pytest.raises(ValueError, match="counts must be reals >= 0") as info:
+            counts_to_table((count, 2, 3, 4), 0.5)
+        assert not isinstance(info.value, DegenerateTable)
+
     def test_count_past_the_double_range_is_degenerate(self):
         with pytest.raises(DegenerateTable, match="past the double range"):
             counts_to_table((10**400, 1, 1, 1), 0.5)
