@@ -131,13 +131,11 @@ def grid(measure_name, odds_ratio, half_width, step, n, output):
 @click.option("--odds-ratio", "odds_ratio", required=True, type=float)
 def critical(odds_ratio):
     """Critical tables of entropy at fixed odds-ratio (CSV lines)."""
-    lines = []
-    for pt in _checked(critical_points, odds_ratio):
-        cells = ",".join(f"{p:.12g}" for p in pt.table.cells)
-        lines.append(
-            f"{pt.branch},{pt.classification},{cells},"
-            f"{pt.coords.y:.12g},{pt.coords.z:.12g}\n"
-        )
+    lines = [
+        "%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+        % (pt.branch, pt.classification, *pt.table.cells, pt.coords.y, pt.coords.z)
+        for pt in _checked(critical_points, odds_ratio)
+    ]
     click.echo("".join(lines), nl=False)
 
 

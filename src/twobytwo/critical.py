@@ -15,15 +15,20 @@ stationary exactly when g(y - x) = g(-y - x) with g(b) = b / (1 + e^-b).
 Divided by 2y and multiplied by 2 (cosh x + cosh y), the difference is
 N(y) = e^-x + cosh y - x sinh(y)/y, whose sign at y = 0 decides: positive,
 the diagonal table is a maximum; negative (past the magic odds-ratio), it
-is a saddle and one bisection finds the root y* in (0, x] that gives the
-L-shaped tables psi(x, y*, -y*) and psi(x, -y*, y*).  N is summed as N(0)
-plus N(y) - N(0), each free of cancellation, so y* stays accurate to
-rounding just past the bifurcation, where N(0) is about 1e-16.
+is a saddle, and the root y* of N in (0, x] gives the L-shaped table
+psi(x, y*, -y*), whose transpose psi(x, -y*, y*) is the other maximum.  N
+is summed as N(0) plus N(y) - N(0), each free of cancellation, so y*
+stays accurate to rounding just past the bifurcation, where N(0) is about
+1e-16.  Near y = x the two terms of N(y) - N(0), each about e^y / 2, cancel
+to rounding noise that outgrows N itself (N(x) = 2 e^-x) as x grows, so
+past x = 12 N is summed as e^-x + e^-y + (y - x) sinh(y)/y.
 
-The same bisection, to adjacent doubles, evaluates both real branches of
-W, each on a bracket a few binades wide and on an equation that neither
-overflows nor underflows: w*e^w = v for W0 with v <= e, and its logarithm
-w + ln|w| = ln|v| for W0 with v > e and for W-1.
+One root-finder, regula falsi with the Illinois rule, brackets each root
+and ends on adjacent doubles, as bisection does, but in about 12
+evaluations of N where bisection takes 53.  It finds y* and evaluates both
+real branches of W, each on a bracket a few binades wide and on an equation
+that neither overflows nor underflows: w*e^w = v for W0 with v <= e, and
+its logarithm w + ln|w| = ln|v| for W0 with v > e and for W-1.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ _EXP_NEG_X0 = math.exp(-_X0)
 # Below y = 0.1, five terms of _rise's Taylor series reach 1e-19 relative.
 _SERIES_BELOW = 0.1
 _SERIES_TERMS = tuple((m, math.factorial(m)) for m in (11, 9, 7, 5, 3))
+# Past this x, N(0) + _rise(x, y) cancels near y = x (see the module docstring).
+_FAR_X = 12.0
 _ENTROPY = MeasureKind("entropy")
 
 
@@ -64,13 +71,35 @@ class DomainError(ValueError):
     """Argument outside the domain of the requested function/branch."""
 
 
-def _bisect(f, lo, hi):
-    """Halve [lo, hi] with f(lo) < 0 <= f(hi) down to adjacent doubles; return hi."""
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if f(mid) < 0.0:
-            lo = mid
+def _root(f, lo, hi):
+    """The root of f in [lo, hi], where f(lo) < 0 <= f(hi), to adjacent doubles; returns hi.
+
+    Regula falsi with the Illinois rule: each step probes where the chord
+    through the two ends crosses zero, and an end that stays put for two
+    steps in a row has its stored value halved, so that the probes close in
+    from both sides.  A probe that rounds onto an end goes to the double
+    beside it instead.  Where f(hi) is zero the chord ends at hi: the step
+    probes the double below hi, or bisects if the last step moved hi, as it
+    does where rounding gave an end's value the wrong sign.  Wherever f is
+    monotone on the doubles near its root, the result is the double that
+    bisection finds.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    moved = 0  # the end the last step moved: -1 for lo, 1 for hi
+    while (above_lo := math.nextafter(lo, hi)) < hi:
+        if f_lo < 0.0 < f_hi or (f_hi == 0.0 and moved <= 0):
+            chord = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            mid = min(max(chord, above_lo), math.nextafter(hi, lo))
         else:
-            hi = mid
+            mid = 0.5 * (lo + hi)
+        if (f_mid := f(mid)) < 0.0:
+            if moved < 0:
+                f_hi *= 0.5
+            lo, f_lo, moved = mid, f_mid, -1
+        else:
+            if moved > 0:
+                f_lo *= 0.5
+            hi, f_hi, moved = mid, f_mid, 1
     return hi
 
 
@@ -87,10 +116,10 @@ def lambert_w0(v):
     if v > math.e:
         # w*e^w = v overflows near v = DBL_MAX; its logarithm does not.
         log_v = math.log(v)
-        return _bisect(lambda w: w + math.log(w) - log_v, 1.0, log_v)
+        return _root(lambda w: w + math.log(w) - log_v, 1.0, log_v)
     # W0 lies between v/e and v for v > 0, and between e*v and v for v < 0.
     lo, hi = (max(math.e * v, -1.0), v) if v < 0.0 else (v / math.e, min(v, 1.0))
-    return _bisect(lambda w: w * math.exp(w) - v, lo, hi)
+    return _root(lambda w: w * math.exp(w) - v, lo, hi)
 
 
 def lambert_w_minus1(v):
@@ -103,7 +132,7 @@ def lambert_w_minus1(v):
         raise DomainError(f"lambert_w_minus1 domain is [-1/e, 0), got {v!r}")
     # In logarithms, w + ln(-w) = ln(-v), rising in w on [2 ln(-v) - 1, -1].
     log_v = math.log(-v)
-    return _bisect(lambda w: w + math.log(-w) - log_v, 2.0 * log_v - 1.0, -1.0)
+    return _root(lambda w: w + math.log(-w) - log_v, 2.0 * log_v - 1.0, -1.0)
 
 
 def magic_odds_ratio():
@@ -174,11 +203,19 @@ def critical_points(big_l):
     n0 = _n0(x)
     if n0 >= 0.0:
         return [_on_anti_diagonal(x, 0.0, "maximum", "diag")]
-    y_star = _bisect(lambda y: n0 + _rise(x, y), 0.0, x)
+    if x <= _FAR_X:
+        y_star = _root(lambda y: n0 + _rise(x, y), 0.0, x)
+    else:
+        # N(y) = e^-x + e^-y + (y - x) sinh(y)/y, where y - x is exact on
+        # [x/2, x] and N(x/2) < 0.
+        e_x = math.exp(-x)
+        y_star = _root(lambda y: e_x + math.exp(-y) + (y - x) * math.sinh(y) / y, 0.5 * x, x)
+    upper = _on_anti_diagonal(x, y_star, "maximum", "L_upper")
+    lower = symmetry_apply(upper.table, "transpose_markers")
     return [
         _on_anti_diagonal(x, 0.0, "saddle", "diag"),
-        _on_anti_diagonal(x, y_star, "maximum", "L_upper"),
-        _on_anti_diagonal(x, -y_star, "maximum", "L_lower"),
+        upper,
+        CriticalPoint(lower, theta(lower), "maximum", "L_lower"),
     ]
 
 

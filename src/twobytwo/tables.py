@@ -217,9 +217,25 @@ def psi_cells(x, y, z):
     normalised by ``_log_total``, exact however small a cell.  The exponents
     are centred on (x + y + z) / 2 and written in halves of x, u = y + z and
     w = y - z, so that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps
-    p00 with p11 and p01 with p10 exactly.
+    p00 with p11 and p01 with p10 exactly.  Each coordinate is a real, or an
+    array of a real dtype, taken as float64; a bool, a non-real or a
+    non-finite coordinate, or array element, raises the ValueError of
+    ``MarginCoords``.
     """
-    return _psi_cells(x, y, z, np.maximum, np.minimum)
+    return _psi_cells(*map(_coordinate, "xyz", (x, y, z)), np.maximum, np.minimum)
+
+
+def _coordinate(name, value):
+    """A coordinate of psi_cells by the rule of ``real``, or an array of them."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        checked = value.astype(np.float64, copy=False)
+        finite = np.isfinite(checked)
+        if finite.all():
+            return checked
+        value = checked[~finite][0].item()
+    elif math.isfinite(checked := real(value)):
+        return checked
+    raise ValueError(f"coordinate {name} must be finite, got {value!r}")
 
 
 def _psi_cells(x, y, z, maximum, minimum):

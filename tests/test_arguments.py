@@ -26,6 +26,7 @@ from twobytwo import (
     make_table,
     margin_limit,
     margin_transform,
+    psi_cells,
     ray_limit,
     scan,
 )
@@ -38,6 +39,7 @@ Y = MeasureKind("yule_y")
 ENTRY_POINTS = {
     "ProbTable": (lambda v: ProbTable(v, 1.0, 1.0, 1.0), DegenerateTable),
     "MarginCoords": (lambda v: MarginCoords(0.0, v, 0.0), ValueError),
+    "psi_cells": (lambda v: psi_cells(v, 0.0, 0.0), ValueError),
     "margin_transform": (lambda v: margin_transform(TABLE, v, 1.0), DegenerateTable),
     "GridSpec": (lambda v: GridSpec(MeasureKind("entropy"), v, 1.0, 0.5), ValueError),
     "critical_points": (critical_points, DomainError),

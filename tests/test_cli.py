@@ -310,7 +310,68 @@ class TestGrid:
             assert abs(float(line.split(",")[2]) - 40.0) <= 1e-10 * 40.0, line
 
 
+# `twobytwo critical` stdout, byte for byte, at odds-ratios on each side of
+# the magic one, just past it, and at the extremes.
+CRITICAL_STDOUT = {
+    "1e-3": (
+        "diag,saddle,0.0153267150159,0.484673284984,0.484673284984,0.0153267150159,0,0\n"
+        "L_upper,maximum,0.330102475466,0.334779001377,0.334779001377,0.000339521779123,3.43981016071,3.43981016071\n"
+        "L_lower,maximum,0.000339521779123,0.334779001377,0.334779001377,0.330102475466,-3.43981016071,-3.43981016071\n"
+    ),
+    "0.025": (
+        "diag,saddle,0.0682635297479,0.431736470252,0.431736470252,0.0682635297479,0,0\n"
+        "L_upper,maximum,0.278729617935,0.354983943722,0.354983943722,0.0113024946213,1.60260936814,1.60260936814\n"
+        "L_lower,maximum,0.0113024946213,0.354983943722,0.354983943722,0.278729617935,-1.60260936814,-1.60260936814\n"
+    ),
+    "0.5": (
+        "diag,maximum,0.207106781187,0.292893218813,0.292893218813,0.207106781187,0,0\n"
+    ),
+    "1": (
+        "diag,maximum,0.25,0.25,0.25,0.25,0,0\n"
+    ),
+    "5": (
+        "diag,maximum,0.345491502813,0.154508497187,0.154508497187,0.345491502813,0,0\n"
+    ),
+    "12.9": (
+        "diag,saddle,0.391106848773,0.108893151227,0.108893151227,0.391106848773,0,0\n"
+        "L_upper,maximum,0.39107855263,0.111728409462,0.106114485278,0.39107855263,0.0257762249164,-0.0257762249164\n"
+        "L_lower,maximum,0.39107855263,0.106114485278,0.111728409462,0.39107855263,-0.0257762249164,0.0257762249164\n"
+    ),
+    "12.89615347308678": (  # magic_odds_ratio() * (1 + 1e-9)
+        "diag,saddle,0.391094147183,0.108905852817,0.108905852817,0.391094147183,0,0\n"
+        "L_upper,maximum,0.391094147088,0.108910993328,0.108900712496,0.391094147088,4.72005492211e-05,-4.72005492211e-05\n"
+        "L_lower,maximum,0.391094147088,0.108900712496,0.108910993328,0.391094147088,-4.72005492211e-05,4.72005492211e-05\n"
+    ),
+    "13": (
+        "diag,saddle,0.391435363522,0.108564636478,0.108564636478,0.391435363522,0,0\n"
+        "L_upper,maximum,0.390676403292,0.123850447905,0.0947967455109,0.390676403292,0.133669846912,-0.133669846912\n"
+        "L_lower,maximum,0.390676403292,0.0947967455109,0.123850447905,0.390676403292,-0.133669846912,0.133669846912\n"
+    ),
+    "40": (
+        "diag,saddle,0.431736470252,0.0682635297479,0.0682635297479,0.431736470252,0,0\n"
+        "L_upper,maximum,0.354983943722,0.278729617935,0.0113024946213,0.354983943722,1.60260936814,-1.60260936814\n"
+        "L_lower,maximum,0.354983943722,0.0113024946213,0.278729617935,0.354983943722,-1.60260936814,1.60260936814\n"
+    ),
+    "1e4": (
+        "diag,saddle,0.49504950495,0.0049504950495,0.0049504950495,0.49504950495,0,0\n"
+        "L_upper,maximum,0.333527305499,0.332911974625,3.34143773706e-05,0.333527305499,4.603323563,-4.603323563\n"
+        "L_lower,maximum,0.333527305499,3.34143773706e-05,0.332911974625,0.333527305499,-4.603323563,4.603323563\n"
+    ),
+    "1e300": (
+        "diag,saddle,0.5,5e-151,5e-151,0.5,0,0\n"
+        "L_upper,maximum,0.333333333333,0.333333333333,3.33333333333e-301,0.333333333333,345.387763949,-345.387763949\n"
+        "L_lower,maximum,0.333333333333,3.33333333333e-301,0.333333333333,0.333333333333,-345.387763949,345.387763949\n"
+    ),
+}
+
+
 class TestCritical:
+    @pytest.mark.parametrize("odds_ratio", CRITICAL_STDOUT)
+    def test_stdout_is_pinned_byte_for_byte(self, runner, odds_ratio):
+        result = runner.invoke(main, ["critical", "--odds-ratio", odds_ratio])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == "".join(CRITICAL_STDOUT[odds_ratio]).encode("ascii")
+
     def test_below_magic_single_line(self, runner):
         result = runner.invoke(main, ["critical", "--odds-ratio", "5"])
         assert result.exit_code == 0

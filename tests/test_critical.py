@@ -23,6 +23,7 @@ from twobytwo import (
     odds_ratio,
     symmetry_apply,
 )
+from twobytwo import critical
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -126,6 +127,71 @@ def lagrange_residual(t):
         math.log(t.p11) + 1.0 - lam1 / t.p11 - lam2,
     )
     return max(abs(r) for r in res)
+
+
+def recorded_solves(monkeypatch):
+    """Record every solve of critical._root as (f, root, evaluations of f)."""
+    solves = []
+    root = critical._root
+
+    def recording(f, lo, hi):
+        count = 0
+
+        def counted(v):
+            nonlocal count
+            count += 1
+            return f(v)
+
+        r = root(counted, lo, hi)
+        solves.append((f, r, count))
+        return r
+
+    monkeypatch.setattr(critical, "_root", recording)
+    return solves
+
+
+def solves_of_n(monkeypatch):
+    """The solves for y* at 2,000 seeded odds-ratios log-uniform in
+    [magic, 1e4], the 100 doubles above the magic one, 1e300 and DBL_MAX."""
+    magic = magic_odds_ratio()
+    rng = np.random.default_rng(2026)
+    odds_ratios = np.exp(rng.uniform(math.log(magic), math.log(1e4), 2_000)).tolist()
+    big_l = magic
+    for _ in range(100):
+        big_l = math.nextafter(big_l, math.inf)
+        odds_ratios.append(big_l)
+    odds_ratios += [1e300, sys.float_info.max]
+    solves = recorded_solves(monkeypatch)
+    for big_l in odds_ratios:
+        critical_points(big_l)
+    assert len(solves) == len(odds_ratios)
+    return solves
+
+
+class TestRoot:
+    """The one root-finder ends on adjacent doubles with a sign change of f."""
+
+    def test_n_changes_sign_at_y_star(self, monkeypatch):
+        for f, r, _ in solves_of_n(monkeypatch):
+            assert f(math.nextafter(r, -math.inf)) < 0.0 <= f(r), r
+
+    @pytest.mark.parametrize(
+        "w, v",
+        [(lambert_w0, v) for v in (5e-324, 0.1, INV_E, 2.0, math.e, 1e3, sys.float_info.max)]
+        + [(lambert_w_minus1, v) for v in (-5e-324, -1e-5, -0.3, -INV_E * (1.0 - 1e-9))],
+    )
+    def test_lambert_w_changes_sign_at_its_value(self, monkeypatch, w, v):
+        solves = recorded_solves(monkeypatch)
+        value = w(v)
+        ((f, r, _),) = solves
+        assert r == value
+        assert f(math.nextafter(r, -math.inf)) < 0.0 <= f(r)
+
+    def test_n_takes_few_evaluations(self, monkeypatch):
+        # Bisection to adjacent doubles takes about 53.
+        counts = [count for _, _, count in solves_of_n(monkeypatch)]
+        assert np.median(counts) <= 16
+        assert max(counts) <= 64
 
 
 class TestCriticalPoints:
@@ -241,7 +307,7 @@ class TestCriticalPoints:
                 y = mpmath.mpf(critical_points(big_l)[1].coords.y)
                 assert f(y * (1 - 1e-8)) < 0 < f(y * (1 + 1e-8)), big_l
 
-    @pytest.mark.parametrize("big_l", [14.0, 40.0, 400.0, 1e6, 1e300, 1.0 / 40.0])
+    @pytest.mark.parametrize("big_l", [14.0, 40.0, 400.0, 1e6, 1e10, 1e12, 1e16, 1e300, 1.0 / 40.0])
     def test_l_shaped_maxima_solve_the_lambert_w_form(self, big_l):
         # (c*a, c*B, c*S) = (1/W0(u), -1/W0(-u), -1/W-1(-u)) for the corner a,
         # big cell B and small cell S of an L-shaped table.

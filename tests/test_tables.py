@@ -237,6 +237,26 @@ class TestCoordinates:
             MarginCoords(math.inf, 0, 0)
 
     @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.0], [np.nan]]),
+            np.array([[1.0], [-np.inf]]),
+            np.array([[True], [False]]),
+            np.array([[1.0], ["1"]], dtype=object),
+            np.array([[1.0 + 0.0j], [2.0]]),
+        ],
+        ids=["nan", "-inf", "bool", "object", "complex"],
+    )
+    def test_psi_cells_checks_every_array_element(self, bad):
+        with pytest.raises(ValueError, match="coordinate y must be finite"):
+            psi_cells(0.5, bad, np.zeros(3))
+
+    def test_psi_cells_takes_real_arrays_as_float64(self):
+        ints = psi_cells(1, np.array([[0], [-3]], dtype=np.int32), np.array([2, 5], dtype=np.uint8))
+        floats = psi_cells(1.0, np.array([[0.0], [-3.0]]), np.array([2.0, 5.0]))
+        assert (bits(ints) == bits(floats)).all()
+
+    @pytest.mark.parametrize(
         # x + y + z, or the log-ratio of two cells, overflows.
         "coords", [(1e308, 1e308, 1e308), (-1e308, 0.0, 1e308), (0.0, 1.7e308, -1.7e308)]
     )
