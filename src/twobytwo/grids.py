@@ -7,7 +7,10 @@ data behind contour/heatmap plots.
 
 Each value is the measure's one kernel on the cells and logs that
 ``tables.psi_cells`` gives at its point: ``eval_in_coords``, ``evaluate``
-of ``psi``, there.
+of ``psi``, there.  Transposing the markers swaps y and z and leaves every
+measure, and the kernels keep that to the last bit, so the grid is
+symmetric: ``grid_blocks`` runs the kernel on one cell of each pair (y, z),
+(z, y) and copies the other.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ __all__ = ["GridSpec", "grid_axis", "grid_blocks", "emit_grid"]
 # block of this many cells (at least one row).  Twice as many saved a few
 # percent of grid time but raised peak memory by about 2 MB more.
 _BLOCK_CELLS = 4096
+
+# Cells of the grid's first rows that grid_blocks keeps to copy their
+# transposes from (2 MB of float64): the whole grid up to 512 points a side,
+# fewer rows of a larger one, so a grid of any size streams in bounded memory.
+_KEPT_CELLS = 2**18
 
 # Most points on one grid axis: the largest length numpy can index.
 _MAX_POINTS = np.iinfo(np.intp).max
@@ -71,19 +79,32 @@ def grid_axis(spec):
 def grid_blocks(spec):
     """Yield (ys, values) for each block of rows of the grid, in y order.
 
-    A block is about _BLOCK_CELLS cells, at least one row.  The kernel runs
-    once per block, on the block's y values ys as a column against the z
-    axis as a row; values is its result broadcast to shape (len(ys), z
-    count), y-major.  A kernel that fails raises before its block is yielded.
+    A block is about _BLOCK_CELLS cells, at least one row; values has shape
+    (len(ys), z count), y-major.  The y and z axes are the same list and
+    every measure is symmetric in y and z, so the value at (i, j) is the
+    value at (j, i).  The grid's first rows, up to _KEPT_CELLS cells, are
+    kept.  A block that starts at row s copies its columns j < min(s, kept
+    rows) from them, transposed, and runs the kernel once on the rest: the
+    block's y values as a column against the z axis from that column on as
+    a row.  A cell and its transpose fail together, and the one in the
+    earlier row is computed, so a kernel that fails raises before the first
+    block holding a failing cell is yielded.
     """
     x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
+    count = len(axis)
     z = np.array(axis)
-    rows_per_block = _rows_per_block(len(axis))
-    for start in range(0, len(axis), rows_per_block):
-        ys = axis[start : start + rows_per_block]
-        block = spec.measure.on_coords(x, np.array(ys)[:, np.newaxis], z)
-        yield ys, np.broadcast_to(block, (len(ys), len(axis)))
+    kept = np.empty((min(count, _KEPT_CELLS // count), count))
+    rows_per_block = _rows_per_block(count)
+    for start in range(0, count, rows_per_block):
+        stop = min(start + rows_per_block, count)
+        copied = min(start, len(kept))
+        block = np.empty((stop - start, count))
+        block[:, :copied] = kept[:copied, start:stop].T
+        block[:, copied:] = spec.measure.on_coords(x, z[start:stop, np.newaxis], z[copied:])
+        if start < len(kept):
+            kept[start:stop] = block[: len(kept) - start]
+        yield axis[start:stop], block
 
 
 def emit_grid(spec, sink):
@@ -100,16 +121,21 @@ def emit_grid(spec, sink):
     axis = grid_axis(spec)
     count = len(axis)
     rows_per_block = _rows_per_block(count)
-    # Each line is the four parts y, z, value and newline; z and the
-    # newlines are the same in every block.
-    line_parts = [b"\n"] * (4 * count * rows_per_block)
-    line_parts[1::4] = [f"{z!r},".encode("ascii") for z in axis] * rows_per_block
+    # Each line is the three parts y, z and value; the y part carries the
+    # newline that ends the line before it, and one more newline ends the
+    # block, so a block's bytes end with its last newline.  z is the same in
+    # every block.
+    line_parts = [b"\n"] * (3 * count * rows_per_block + 1)
+    line_parts[1:-1:3] = [f"{z!r},".encode("ascii") for z in axis] * rows_per_block
 
     sink.write(b"y,z,value\n")
     for ys, values in grid_blocks(spec):
-        del line_parts[4 * values.size :]  # the last block may be shorter
-        line_parts[0::4] = [f for y in ys for f in [f"{y!r},".encode("ascii")] * count]
-        line_parts[2::4] = _repr_fields(values.ravel())
+        line_parts[3 * values.size :] = [b"\n"]  # the last block may be shorter
+        for row, y in enumerate(ys):
+            line = 3 * count * row
+            line_parts[line : line + 3 * count : 3] = [f"\n{y!r},".encode("ascii")] * count
+        line_parts[0] = line_parts[0][1:]
+        line_parts[2::3] = _repr_fields(values.ravel())
         sink.write(b"".join(line_parts))
     return count**2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import sys
@@ -115,10 +116,18 @@ class TestEmitGrid:
     @pytest.mark.parametrize("name", list(CLI_NAMES))
     def test_transpose_symmetry_is_exact(self, name):
         # Transposing the markers swaps y and z and leaves every measure;
-        # the kernels keep that to the last bit.
-        spec = GridSpec(MeasureKind.from_cli(name, 4.0), 40.0, 3.0, 0.25)
-        values = np.vstack([block for _, block in grid_blocks(spec)])
-        assert np.array_equal(values, values.T)
+        # the kernels keep that to the last bit, sign included, which is what
+        # lets grid_blocks copy a cell from its transpose.  Checked on one
+        # kernel call per row, so the copy itself is not under test; at
+        # half-width 400 the cell floors act.
+        for odds_ratio in (1e-20, 0.2, 12.9, 40.0, 1e20):
+            for half_width, step in ((3.0, 0.25), (400.0, 50.0)):
+                spec = GridSpec(MeasureKind.from_cli(name, 4.0), odds_ratio, half_width, step)
+                count = len(grid_axis(spec))
+                rows = [np.broadcast_to(v, (count,)) for _, v in per_row_rows(spec)]
+                values = np.vstack(rows)
+                np.testing.assert_array_equal(values, values.T, err_msg=str(spec))
+                assert np.array_equal(np.signbit(values), np.signbit(values.T)), spec
 
     def test_table_form_measures_also_emit(self):
         spec = GridSpec(MeasureKind("s_mut_inf"), 12.0, 1.0, 0.5)
@@ -158,13 +167,18 @@ def per_row_rows(spec):
 class TestBlocks:
     """Evaluating a block of rows per kernel call changes no bit."""
 
-    @pytest.fixture(params=["partial last block", "one row per block"])
+    @pytest.fixture(params=["partial last block", "one row per block", "ten rows kept"])
     def shape(self, request, monkeypatch):
         """(half_width, step) of a grid, and the row count of each of its blocks."""
         if request.param == "one row per block":
             # Rows of 21 cells against a budget of 16 cells.
             monkeypatch.setattr(grids, "_BLOCK_CELLS", 16)
             return 1.0, 0.1, [1] * 21
+        if request.param == "ten rows kept":
+            # 10 of 121 rows kept: the blocks after the first copy only
+            # columns 0-9, and the kernel computes the rest of each row.
+            monkeypatch.setattr(grids, "_KEPT_CELLS", 10 * 121)
+            return 3.0, 0.05, [33, 33, 33, 22]
         # 121 rows in blocks of 33: the last block holds 22.
         return 3.0, 0.05, [33, 33, 33, 22]
 
@@ -184,6 +198,66 @@ class TestBlocks:
             np.testing.assert_array_equal(values, expected, err_msg=f"y = {y!r}")
             assert np.array_equal(np.signbit(values), np.signbit(expected)), y
         assert render(spec)[1] == repr_oracle(spec)
+
+
+class TestKernelCells:
+    """grid_blocks runs the kernel on one cell of each transposed pair that
+    the kept rows hold."""
+
+    @pytest.fixture
+    def cells(self, monkeypatch):
+        """A list that gets the number of cells of each kernel call."""
+        calls = []
+        on_coords = MeasureKind.on_coords
+
+        def counted(self, x, y, z):
+            calls.append(np.broadcast(y, z).size)
+            return on_coords(self, x, y, z)
+
+        monkeypatch.setattr(MeasureKind, "on_coords", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kept_cells,want",
+        [
+            (None, 30_961),
+            # One row kept: only column 0 of the rows past the first block
+            # is copied.
+            (241, 57_856),
+            # None kept: the kernel sees every cell.
+            (0, 241 * 241),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["HS", "MI"])
+    def test_cells_of_the_benchmark_grid(self, name, kept_cells, want, cells, monkeypatch):
+        if kept_cells is not None:
+            monkeypatch.setattr(grids, "_KEPT_CELLS", kept_cells)
+        spec = GridSpec(MeasureKind.from_cli(name), 40.0, 6.0, 0.05)
+        assert len(grid_axis(spec)) == 241
+        for _ in grid_blocks(spec):
+            pass
+        assert sum(cells) == want
+
+
+# sha256 of the CSV that emit_grid writes for the benchmark's grids
+# (half-width 6, step 0.05: 241 x 241 cells).
+BENCHMARK_GRID_SHA256 = {
+    ("HS", 2.0): "3a7da5ffa1507d519d4eff77ec2c1a594dee6d7f712bba9d9a3820f04ac0c750",
+    ("HS", 12.9): "075ec3b9442958d153765f37635a2f83459bbc0f7872b38b8c7c3d31e9b73959",
+    ("HS", 40.0): "d220b56e744aedbabf9f971b5ee0f9a05f05207a199364d5698b328100108322",
+    ("HS", 100.0): "83f86065ee4d0af2efa04f8712c271ac71089071df2bafb81ceaf87ff339d6d6",
+    ("MI", 2.0): "debb08278b36673b068e206e1cde60b63296ec8fdb070b8286db5a3a40a2ecc7",
+    ("MI", 12.9): "0d414678a1c7627f143a1d72c7debb2dce4756ac125b71d7dc655e5a116541be",
+    ("MI", 40.0): "d61009a4b0b1ad34a53266beb08ba38a1a525053927c6e4a7904b40ca4fa91ba",
+    ("MI", 100.0): "76de6701ee4c56fdca097d36f90d70e290ad24f8cb86723d038957f972691e46",
+}
+
+
+@pytest.mark.parametrize("name,odds_ratio", list(BENCHMARK_GRID_SHA256))
+def test_benchmark_grid_bytes_are_pinned(name, odds_ratio):
+    spec = GridSpec(MeasureKind.from_cli(name), odds_ratio, 6.0, 0.05)
+    digest = hashlib.sha256(render(spec)[1]).hexdigest()
+    assert digest == BENCHMARK_GRID_SHA256[name, odds_ratio]
 
 
 def repr_oracle(spec):
