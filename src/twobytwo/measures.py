@@ -1,14 +1,15 @@
 """Association measures on 2x2 probability tables.
 
 ``MEASURES`` is the one list of measures.  Each record holds the one formula
-of its measure, a numpy kernel of the four normalised cells ``p`` and their
-exact natural logs ``l`` (``p`` may be rounded to a subnormal, ``l`` is
-not): lambda, Q, Y, D, D', r, kappa and Hdiag read ``l`` only, H, MI and
-sMI weight by ``p`` and take their logs from ``l``, and HS joins Y, Hdiag
-and H.  The kernels broadcast over arrays.  ``evaluate`` runs one on a
-ProbTable, and ``eval_in_coords`` is ``evaluate`` of ``tables.psi`` at
-margin coordinates; the grids run a kernel on ``tables.psi_cells``, the
-scanner on counts, so a measure gives one number however its table
+of its measure, a numpy kernel of (p, l, x, n), broadcast over arrays: the
+four normalised cells ``p``, their exact natural logs ``l`` (``p`` may be
+rounded to a subnormal, ``l`` is not), x = ln sqrt(odds-ratio), which
+``MeasureKind`` derives from ``l`` once per evaluation, and the HS exponent
+``n``.  lambda, Q, Y and Hdiag read x, D, D', r and kappa x and ``l``, H,
+MI and sMI weight by ``p`` and take their logs from ``l``, and HS joins Y,
+Hdiag and H.  ``evaluate`` runs a kernel on a ProbTable, ``eval_in_coords``
+on ``tables.psi`` at margin coordinates, the grids on ``tables.psi_cells``
+and the scanner on counts, so a measure gives one number however its table
 arrives.  D, D', r and kappa take log|D| from the larger diagonal product,
 so that no sum of logs cancels.  ``margin_limit`` gives the closed-form
 limits along one margin axis.
@@ -20,6 +21,7 @@ logarithms; the coordinates themselves are natural-log scale.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -64,7 +66,7 @@ class UnsupportedKind(ValueError):
     """An unknown measure name, or a measure with no closed-form axis limit."""
 
 
-# --- kernels of (p, l, n): the cells, their logs and the HS exponent --------
+# --- kernels of (p, l, x, n): the cells, their logs, x and the HS exponent --
 
 
 def _logaddexp(a, b):
@@ -72,10 +74,10 @@ def _logaddexp(a, b):
     return np.maximum(a, b) + np.log1p(np.exp(-abs(a - b)))
 
 
-def _log_margins(l):
-    """Logs of (row0, row1, col0, col1)."""
-    l = np.asarray(l)
-    return (*_logaddexp(l[0::2], l[1::2]), *_logaddexp(l[:2], l[2:]))
+def _margins(v, add):
+    """(row0, row1, col0, col1) of the cells v, or of their logs with _logaddexp."""
+    v00, v01, v10, v11 = v
+    return add(v00, v01), add(v10, v11), add(v00, v10), add(v01, v11)
 
 
 def _log1m_exp_2a(a):
@@ -84,33 +86,33 @@ def _log1m_exp_2a(a):
     return np.log((a == 0.0) - np.expm1(-2.0 * np.minimum(a, 19.0)))
 
 
-def _det_over(l, log_den):
+def _det_over(l, x, log_den):
     """The determinant p00 p11 - p01 p10 over e^log_den: sign(x) times the larger
     diagonal product times 1 - e^{-2|x|}, so that no sum of logs cancels."""
-    x = half_log_odds(l)
-    log_top = np.maximum(l[0] + l[3], l[1] + l[2])
+    l00, l01, l10, l11 = l
+    log_top = np.maximum(l00 + l11, l01 + l10)
     return np.sign(x) * np.exp(log_top + _log1m_exp_2a(abs(x)) - log_den)
 
 
-def _d_prime(p, l, n):
-    row0, row1, col0, col1 = _log_margins(l)
+def _d_prime(p, l, x, n):
+    row0, row1, col0, col1 = _margins(l, _logaddexp)
     log_d_max = np.where(
-        half_log_odds(l) >= 0.0,
+        x >= 0.0,
         np.minimum(row0 + col1, col0 + row1),
         np.minimum(row0 + col0, row1 + col1),
     )
-    return _det_over(l, log_d_max)
+    return _det_over(l, x, log_d_max)
 
 
-def _corr_r(p, l, n):
-    row0, row1, col0, col1 = _log_margins(l)
-    return _det_over(l, 0.5 * ((row0 + row1) + (col0 + col1)))
+def _corr_r(p, l, x, n):
+    row0, row1, col0, col1 = _margins(l, _logaddexp)
+    return _det_over(l, x, 0.5 * ((row0 + row1) + (col0 + col1)))
 
 
-def _kappa(p, l, n):
+def _kappa(p, l, x, n):
     # (p00 + p11 - chance) / (1 - chance) = 2D / (row0 col1 + row1 col0).
-    row0, row1, col0, col1 = _log_margins(l)
-    return _det_over(l, _logaddexp(row0 + col1, row1 + col0) - _LN2)
+    row0, row1, col0, col1 = _margins(l, _logaddexp)
+    return _det_over(l, x, _logaddexp(row0 + col1, row1 + col0) - _LN2)
 
 
 def _sum_p_log_p(p, l):
@@ -118,22 +120,21 @@ def _sum_p_log_p(p, l):
     return cell_total([pi * li for pi, li in zip(p, l)])
 
 
-def _entropy(p, l, n):
+def _entropy(p, l, x, n):
     return -_sum_p_log_p(p, l) / _LN2
 
 
-def _mut_inf(p, l, n):
-    p00, p01, p10, p11 = p
-    margins = (p00 + p01, p10 + p11, p00 + p10, p01 + p11)
-    return (_sum_p_log_p(p, l) - _sum_p_log_p(margins, _log_margins(l))) / _LN2
+def _mut_inf(p, l, x, n):
+    margins = _margins(p, operator.add), _margins(l, _logaddexp)
+    return (_sum_p_log_p(p, l) - _sum_p_log_p(*margins)) / _LN2
 
 
-def _s_mut_inf(p, l, n):
-    return np.sign(half_log_odds(l)) * np.abs(_mut_inf(p, l, n))
+def _s_mut_inf(p, l, x, n):
+    return np.sign(x) * np.abs(_mut_inf(p, l, x, n))
 
 
-def _hs(p, l, n):
-    return _weighted_y(half_log_odds(l), _entropy(p, l, n), n)
+def _hs(p, l, x, n):
+    return _weighted_y(x, _entropy(p, l, x, n), n)
 
 
 def _entropy_diag_x(x):
@@ -176,13 +177,12 @@ def _d_prime_limit(x, s, other, n):
 
 
 def _hs_limit(x, s, other, n):
-    # The limit table keeps a single binary split, in the ratio 1 : e^a.  Past
-    # |a| = 800 its smaller side underflows to 0, so a is capped there.
+    # HS's kernel on the limit table at x, a single binary split in the ratio
+    # 1 : e^a.  Past |a| = 800 its smaller side underflows to 0, so a is capped.
     with np.errstate(over="ignore"):
         a = np.clip(x + s * other, -800.0, 800.0)
     l0, l1 = -_logaddexp(0.0, a), -_logaddexp(-a, 0.0)
-    h_split = _entropy((np.exp(l0), np.exp(l1), 0.0, 0.0), (l0, l1, 0.0, 0.0), n)
-    return _weighted_y(x, h_split, n)
+    return _hs((np.exp(l0), np.exp(l1), 0.0, 0.0), (l0, l1, 0.0, 0.0), x, n)
 
 
 # --- the registry ----------------------------------------------------------
@@ -192,9 +192,9 @@ def _hs_limit(x, s, other, n):
 class Measure:
     """One association measure: its names and its formulas.
 
-    ``cells(p, l, n)`` is the one formula of the measure: ``p`` is the four
-    normalised cells (p00, p01, p10, p11) and ``l`` their exact natural
-    logs, each four arrays (or floats) that broadcast together.
+    ``cells(p, l, x, n)`` is the one formula of the measure: ``p`` is the
+    four normalised cells (p00, p01, p10, p11), ``l`` their exact natural
+    logs, each four arrays (or floats), and ``x`` is ``half_log_odds(l)``.
     ``limit(x, s, other, n)`` is the closed-form limit as one margin
     coordinate goes to s * infinity (s = +-1) with the other held.  ``n``
     is the HS exponent; only measures with ``uses_n`` read it.
@@ -210,17 +210,17 @@ class Measure:
 MEASURES = {
     m.tag: m
     for m in (
-        Measure("odds_ratio", "lambda", lambda p, l, n: np.exp(2.0 * half_log_odds(l))),
-        Measure("yule_q", "Q", lambda p, l, n: np.tanh(half_log_odds(l))),
-        Measure("yule_y", "Y", lambda p, l, n: _tanh_half_x(half_log_odds(l)), _tanh_half_x),
-        Measure("d_raw", "D", lambda p, l, n: _det_over(l, 0.0)),
+        Measure("odds_ratio", "lambda", lambda p, l, x, n: np.exp(2.0 * x)),
+        Measure("yule_q", "Q", lambda p, l, x, n: np.tanh(x)),
+        Measure("yule_y", "Y", lambda p, l, x, n: _tanh_half_x(x), _tanh_half_x),
+        Measure("d_raw", "D", lambda p, l, x, n: _det_over(l, x, 0.0)),
         Measure("d_prime", "Dprime", _d_prime, _d_prime_limit),
         Measure("corr_r", "r", _corr_r, _zero_limit),
         Measure("mut_inf", "MI", _mut_inf),
         Measure("s_mut_inf", "sMI", _s_mut_inf, _zero_limit),
         Measure("kappa", "kappa", _kappa),
         Measure("entropy", "H", _entropy),
-        Measure("entropy_diag", "Hdiag", lambda p, l, n: _entropy_diag_x(half_log_odds(l))),
+        Measure("entropy_diag", "Hdiag", lambda p, l, x, n: _entropy_diag_x(x)),
         Measure("hs", "HS", _hs, _hs_limit, uses_n=True),
     )
 }
@@ -264,12 +264,12 @@ class MeasureKind:
     @_strict
     def on_cells(self, p, l):
         """The kernel on cells p and their logs l, each four arrays, broadcast."""
-        return self.measure.cells(p, l, self.n)
+        return self.measure.cells(p, l, half_log_odds(l), self.n)
 
     @_strict
     def on_coords(self, x, y, z):
-        """The kernel on the table at margin coordinate arrays, broadcast."""
-        return self.measure.cells(*psi_cells(x, y, z), self.n)
+        """``on_cells`` of ``psi_cells``: x comes from psi's logs, not the argument."""
+        return self.on_cells(*psi_cells(x, y, z))
 
 
 def evaluate(kind, t):

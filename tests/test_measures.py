@@ -335,20 +335,42 @@ def outcome(fn):
         return type(exc)
 
 
+def float_bits(value):
+    """The bits of a float outcome, so that 0.0 and -0.0 differ; an error type as it is."""
+    return value if isinstance(value, type) else np.float64(value).view(np.int64)
+
+
 class TestDocumentedDomain:
     """Every measure over |coords| <= 500, and at the edge of the manifold."""
 
     @given(DOMAIN_COORDS)
     @settings(max_examples=300, deadline=None)
     def test_table_and_coordinates_give_one_value(self, c):
-        t = psi(c)
+        # The array form (the grids' path) against the point form, which
+        # builds psi's table: one value to the bit, sign included, or one
+        # error type.
+        column = [np.array([v]) for v in (c.x, c.y, c.z)]
         for tag in MEASURES:
             kind = MeasureKind(tag)
-            direct = outcome(lambda: evaluate(kind, t))
-            in_coords = outcome(lambda: eval_in_coords(kind, c))
-            # psi's table holds the cells and logs of psi_cells, so the one
-            # kernel gives one value to the bit.
-            assert direct == in_coords, (tag, direct, in_coords)
+            on_array = outcome(lambda: kind.on_coords(*column)[0])
+            at_point = outcome(lambda: eval_in_coords(kind, c))
+            assert float_bits(on_array) == float_bits(at_point), (tag, on_array, at_point)
+
+    def test_whole_arrays_give_the_values_at_points(self):
+        rng = np.random.default_rng(23)
+        coords = rng.uniform(-500.0, 500.0, size=(3, 4000))
+        # Near independence, where x is a difference of logs near 0.
+        coords[0, :1000] = rng.uniform(-1e-6, 1e-6, size=1000)
+        points = [MarginCoords(*map(float, column)) for column in coords.T]
+        for tag in MEASURES:
+            kind = MeasureKind(tag)
+            at_points = [outcome(lambda: eval_in_coords(kind, c)) for c in points]
+            # An array raises if one of its points does: it takes the rest.
+            kept = np.array([not isinstance(v, type) for v in at_points])
+            assert kept.sum() >= 3000, tag
+            want = np.array([v for v in at_points if not isinstance(v, type)])
+            got = kind.on_coords(*coords[:, kept])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), tag
 
     @given(DOMAIN_COORDS)
     @settings(max_examples=300, deadline=None)
