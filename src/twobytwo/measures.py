@@ -3,9 +3,9 @@
 ``MEASURES`` is the one list of measures.  Each record holds the one formula
 of its measure, a numpy kernel of (p, l, x, n), broadcast over arrays: the
 four normalised cells ``p``, their exact natural logs ``l`` (``p`` may be
-rounded to a subnormal, ``l`` is not), x = ln sqrt(odds-ratio), which
-``MeasureKind`` derives from ``l`` once per evaluation, and the HS exponent
-``n``.  lambda, Q, Y and Hdiag read x, D, D', r and kappa x and ``l``, H,
+rounded to a subnormal, ``l`` is not), x = ln sqrt(odds-ratio) as the
+``tables`` producer of the cells gives it, and the HS exponent ``n``.
+lambda, Q, Y and Hdiag read x, D, D', r and kappa x and ``l``, H,
 MI and sMI weight by ``p`` and take their logs from ``l``, and HS joins Y,
 Hdiag and H.  ``evaluate`` runs a kernel on a ProbTable, ``eval_in_coords``
 on ``tables.psi`` at margin coordinates, the grids on ``tables.psi_cells``
@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .tables import MarginCoords, cell_total, half_log_odds, psi, psi_cells, real
+from .tables import MarginCoords, cell_total, psi, psi_cells, real
 
 __all__ = [
     "Measure",
@@ -194,7 +194,8 @@ class Measure:
 
     ``cells(p, l, x, n)`` is the one formula of the measure: ``p`` is the
     four normalised cells (p00, p01, p10, p11), ``l`` their exact natural
-    logs, each four arrays (or floats), and ``x`` is ``half_log_odds(l)``.
+    logs, each four arrays (or floats), and ``x`` is ln sqrt(odds-ratio)
+    as the ``tables`` producer of the cells gives it.
     ``limit(x, s, other, n)`` is the closed-form limit as one margin
     coordinate goes to s * infinity (s = +-1) with the other held.  ``n``
     is the HS exponent; only measures with ``uses_n`` read it.
@@ -262,19 +263,19 @@ class MeasureKind:
         return self.measure.cli_name
 
     @_strict
-    def on_cells(self, p, l):
-        """The kernel on cells p and their logs l, each four arrays, broadcast."""
-        return self.measure.cells(p, l, half_log_odds(l), self.n)
+    def on_cells(self, p, l, x):
+        """The kernel on cells p, their logs l (each four arrays) and x, broadcast."""
+        return self.measure.cells(p, l, x, self.n)
 
     @_strict
     def on_coords(self, x, y, z):
-        """``on_cells`` of ``psi_cells``: x comes from psi's logs, not the argument."""
+        """``on_cells`` of ``psi_cells`` at (x, y, z), which keeps x as it is."""
         return self.on_cells(*psi_cells(x, y, z))
 
 
 def evaluate(kind, t):
-    """Evaluate a MeasureKind on a table: its kernel on the cells and logs."""
-    return float(kind.on_cells(t.cells, t.logs))
+    """Evaluate a MeasureKind on a table: its kernel on the cells, logs and x."""
+    return float(kind.on_cells(t.cells, t.logs, t.x))
 
 
 def eval_in_coords(kind, c):

@@ -312,8 +312,8 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
 
     counts = _counts(*(g[top_a, top_b] for g in grams))
     cells = np.add(counts, pseudocount, dtype=np.float64)
-    top_probs, top_logs = cells_and_logs(cells)
-    values = {kind: kind.on_cells(top_probs, top_logs) for kind in measures}
+    top = cells_and_logs(cells)
+    values = {kind: kind.on_cells(*top) for kind in measures}
     results = []
     for k, c in enumerate(counts.T.astype(np.int64).tolist()):
         values_k = {kind: float(v[k]) for kind, v in values.items()}

@@ -7,6 +7,11 @@ coordinate maps ``theta``/``psi`` turn that structure into plain 3-space,
 with the x-axis carrying log-sqrt-odds-ratio and (y, z) parameterising the
 margins.  ``ray_limit`` describes what happens on the boundary when cells
 are driven to zero along a straight ray in coordinate space.
+
+Each producer of a table hands the measures its cells, logs and x, and this
+is the one module that knows where x comes from: ``psi`` and ``psi_cells``
+keep the coordinate x, ``cells_and_logs`` (so ``ProbTable`` and the scanner's
+tiles) takes ``half_log_odds`` of its logs, and ``symmetry_apply`` carries it.
 """
 
 from __future__ import annotations
@@ -82,8 +87,8 @@ class ProbTable:
     Raw positive weights are accepted (e.g. counts plus pseudocounts); the
     constructor divides by their ``cell_total``, so entries are proportional
     to the inputs and sum to 1.  ``logs``, which the measures and ``theta``
-    read, holds the natural logs of the normalised cells, exact where a
-    cell rounds to 1 or to a subnormal.
+    read with ``x`` = ln sqrt(odds-ratio), holds the natural logs of the
+    normalised cells, exact where a cell rounds to 1 or to a subnormal.
     """
 
     p00: float
@@ -160,11 +165,12 @@ class BoundaryClass:
 make_table = ProbTable
 
 
-def _set_cells(table, cells, logs):
-    """Set a frozen table's normalised cells and their logs, as floats; return it."""
+def _set_cells(table, cells, logs, x):
+    """Set a frozen table's normalised cells, their logs and x, as floats; return it."""
     attrs = table.__dict__
     attrs["p00"], attrs["p01"], attrs["p10"], attrs["p11"] = map(float, cells)
     attrs["logs"] = tuple(map(float, logs))
+    attrs["x"] = float(x)
     return table
 
 
@@ -186,7 +192,7 @@ def theta(t):
     # y and z from mirrored-cell differences, so that transposition swaps
     # them and a diagonal-symmetric table has y = z = 0 exactly.
     return MarginCoords(
-        half_log_odds(t.logs),
+        t.x,
         0.5 * ((l00 - l11) + (l01 - l10)),
         0.5 * ((l00 - l11) - (l01 - l10)),
     )
@@ -207,10 +213,11 @@ def _largest(v, maximum):
 
 
 def psi_cells(x, y, z):
-    """Cells and logs of the table proportional to (e^{x+y+z}, e^y; e^z, e^x).
+    """Cells, logs and x of the table proportional to (e^{x+y+z}, e^y; e^z, e^x).
 
-    Returns ``(cells, logs)``, two lists of four components that broadcast
-    over coordinate arrays; ``psi`` is the one-point form.  The maximal
+    Returns ``(cells, logs, x)``: two lists of four components that
+    broadcast over coordinate arrays, and the checked x, which the logs hold
+    only to their rounding; ``psi`` is the one-point form.  The maximal
     exponent is subtracted before exponentiation and dominated weights are
     floored at exp(_EXP_FLOOR), so coordinates with |x|, |y|, |z| <= 500
     never overflow or produce a zero cell; the logs are the exponents
@@ -245,7 +252,7 @@ def _psi_cells(x, y, z, maximum, minimum):
     for i in range(4):
         cells[i] /= total
         logs[i] -= log_total
-    return cells, logs
+    return cells, logs, x
 
 
 def _centred_exponents(x, y, z, maximum):
@@ -269,15 +276,16 @@ def cell_total(weights):
 
 
 def cells_and_logs(weights):
-    """Normalised cells, none below _CELL_FLOOR, and their exact natural logs
-    of (4, ...) weights: two lists of four arrays."""
+    """Normalised cells, none below _CELL_FLOOR, their exact natural logs and
+    x = ``half_log_odds`` of the logs, of (4, ...) weights: two lists of four
+    arrays and an array."""
     return _cells_and_logs(weights, np.maximum, np.minimum)
 
 
 def _cells_and_logs(weights, maximum, minimum):
     total = cell_total(weights)
-    cells = [maximum(w / total, _CELL_FLOOR) for w in weights]
-    return cells, _log_cells(weights, maximum, minimum)
+    logs = _log_cells(weights, maximum, minimum)
+    return [maximum(w / total, _CELL_FLOOR) for w in weights], logs, half_log_odds(logs)
 
 
 def half_log_odds(l):
@@ -310,20 +318,21 @@ def _log_total(weights, maximum, minimum):
 
 
 def psi(c):
-    """Inverse of theta: the table of psi_cells at c, with its exact logs.
+    """Inverse of theta: the table of psi_cells at c, with its exact logs and c.x.
 
     Raises DegenerateTable where a log (and so a cell) is not finite: the
     log-ratio of two cells, such as x + y, overflows, which takes some
     |coordinate| above 8.9e307.
     """
     # Python's arithmetic overflows to inf, and inf - inf gives nan, silently.
-    cells, logs = _psi_cells(c.x, c.y, c.z, max, min)
+    cells, logs, x = _psi_cells(c.x, c.y, c.z, max, min)
     if not all(map(math.isfinite, logs)):
         raise DegenerateTable(f"the table at {c} has a cell or log that is not finite")
-    return _set_cells(object.__new__(ProbTable), cells, logs)
+    return _set_cells(object.__new__(ProbTable), cells, logs, x)
 
 
-# The cell order of each symmetry; the logs move with the cells.
+# The cell order of each symmetry; the logs move with the cells, and a swap
+# negates x as 0.0 - x: +0.0 stays +0.0, as in half_log_odds of the logs.
 _SYMMETRY_OPS = {
     "transpose_markers": itemgetter(0, 2, 1, 3),
     "swap_rows": itemgetter(2, 3, 0, 1),
@@ -338,8 +347,8 @@ def symmetry_apply(t, op):
     swap_cols flip the sign of x together with y or z respectively.
     """
     if op in _SYMMETRY_OPS:
-        order = _SYMMETRY_OPS[op]
-        return _set_cells(object.__new__(ProbTable), order(t.cells), order(t.logs))
+        order, x = _SYMMETRY_OPS[op], t.x if op == "transpose_markers" else 0.0 - t.x
+        return _set_cells(object.__new__(ProbTable), order(t.cells), order(t.logs), x)
     raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
 
 

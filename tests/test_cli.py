@@ -271,17 +271,19 @@ class TestGrid:
         assert "lambda: overflow encountered in exp" in result.output
         assert not out.exists()
 
-    def test_true_overflow_exits_1(self, runner):
-        # lambda is the odds-ratio DBL_MAX at every point, but at |y| = |z| =
-        # 400 its off-diagonal cells underflow and the kernel overflows.
+    def test_lambda_at_the_largest_odds_ratio_is_finite(self, runner):
+        # lambda is the odds-ratio DBL_MAX at every point.  The kernel reads
+        # the grid's x = ln sqrt(L), not x of logs whose off-diagonal cells
+        # underflow at |y| = |z| = 400, so e^{2x} rounds just below DBL_MAX.
         result = runner.invoke(
             main,
             ["grid", "--measure", "lambda", "--odds-ratio", "1.7976931348623157e308",
              "--half-width", "400", "--step", "50"],
         )
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output == "y,z,value\nError: lambda: overflow encountered in exp\n"
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert len(lines) == 1 + 17 * 17
+        assert {line.split(",")[2] for line in lines[1:]} == {"1.7976931348622732e+308"}
 
     @pytest.mark.parametrize("n", ["1e10", "1e300"])
     def test_hs_at_a_huge_exponent(self, runner, n):
@@ -588,10 +590,9 @@ class TestTable1:
             cells = [float(v) for v in fields[:4]]
             assert sum(cells) == pytest.approx(1.0, abs=2.5e-3)
 
-    @pytest.mark.xfail(strict=True, reason="x recomputed from logs (ROADMAP item 2)")
     def test_no_negative_zero(self, runner):
-        # At L = 1, x of psi(0, 10, 10)'s logs is -1.78e-15, not 0, so its
-        # Y, r, D' and HS4 print as -0.000.
+        # At L = 1, psi(0, 10, 10) keeps x = 0; x of its logs is -1.78e-15,
+        # which would print Y, r, D' and HS4 as -0.000.
         result = runner.invoke(main, ["table1"])
         assert result.exit_code == 0
         assert "-0.000" not in result.output

@@ -242,10 +242,10 @@ class TestKernelCells:
 # sha256 of the CSV that emit_grid writes for the benchmark's grids
 # (half-width 6, step 0.05: 241 x 241 cells).
 BENCHMARK_GRID_SHA256 = {
-    ("HS", 2.0): "3a7da5ffa1507d519d4eff77ec2c1a594dee6d7f712bba9d9a3820f04ac0c750",
-    ("HS", 12.9): "075ec3b9442958d153765f37635a2f83459bbc0f7872b38b8c7c3d31e9b73959",
-    ("HS", 40.0): "d220b56e744aedbabf9f971b5ee0f9a05f05207a199364d5698b328100108322",
-    ("HS", 100.0): "83f86065ee4d0af2efa04f8712c271ac71089071df2bafb81ceaf87ff339d6d6",
+    ("HS", 2.0): "012d48af25222fbe5e881097846139e20dc2560ca353c5db9f789e1feab8fba4",
+    ("HS", 12.9): "25dab2ac0dc05c8c408bb03707d2aa8f6906b2d42da1caa97f78417ba8a57179",
+    ("HS", 40.0): "6bd4f67a3aaa132088ecc49937afbfc05bac9a3af44b33e4bc4939a3c9b067e1",
+    ("HS", 100.0): "1803bf39514bee111fc5694c22009f897ad665ad7426cf1f133fa0c09677cee7",
     ("MI", 2.0): "debb08278b36673b068e206e1cde60b63296ec8fdb070b8286db5a3a40a2ecc7",
     ("MI", 12.9): "0d414678a1c7627f143a1d72c7debb2dce4756ac125b71d7dc655e5a116541be",
     ("MI", 40.0): "d61009a4b0b1ad34a53266beb08ba38a1a525053927c6e4a7904b40ca4fa91ba",

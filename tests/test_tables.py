@@ -224,13 +224,15 @@ class TestCoordinates:
         points = np.concatenate(
             [corners, rng.uniform(-500, 500, size=(200, 3)), rng.uniform(-10, 10, size=(200, 3))]
         )
-        cells, logs = (np.array(a) for a in psi_cells(*points.T))
+        cells, logs, x = (np.array(a) for a in psi_cells(*points.T))
         assert cells.shape == logs.shape == (4, len(points))
+        assert (bits(x) == bits(points[:, 0])).all()
         for point, got, got_logs in zip(points.tolist(), cells.T.tolist(), logs.T.tolist()):
             t = psi(MarginCoords(*point))
             for g, w in zip(got, t.cells):
                 assert abs(g - w) <= 1e-15 * w, point
             assert tuple(got_logs) == t.logs, point
+            assert t.x == point[0], point
 
     def test_coords_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -254,7 +256,8 @@ class TestCoordinates:
     def test_psi_cells_takes_real_arrays_as_float64(self):
         ints = psi_cells(1, np.array([[0], [-3]], dtype=np.int32), np.array([2, 5], dtype=np.uint8))
         floats = psi_cells(1.0, np.array([[0.0], [-3.0]]), np.array([2.0, 5.0]))
-        assert (bits(ints) == bits(floats)).all()
+        assert (bits(ints[:2]) == bits(floats[:2])).all()
+        assert bits(ints[2]) == bits(floats[2]) == bits(1.0)
 
     @pytest.mark.parametrize(
         # x + y + z, or the log-ratio of two cells, overflows.
@@ -371,10 +374,11 @@ class TestOneTableIsAColumnOfAnArray:
             near_independence,
         ])
         assert len(points) >= 10_000
-        cells, logs = (np.array(a) for a in psi_cells(*points.T))
+        cells, logs, x = (np.array(a) for a in psi_cells(*points.T))
         one_by_one = [psi(MarginCoords(*point)) for point in points.tolist()]
         assert (bits([t.cells for t in one_by_one]) == bits(cells.T)).all()
         assert (bits([t.logs for t in one_by_one]) == bits(logs.T)).all()
+        assert (bits([t.x for t in one_by_one]) == bits(x)).all()
 
     def test_probtable_equals_cells_and_logs_bit_for_bit(self):
         rng = np.random.default_rng(42)
@@ -392,10 +396,11 @@ class TestOneTableIsAColumnOfAnArray:
         weights = weights[:, ok]
         assert weights.shape[1] > 10_000
         assert (weights == 5e-324).any() and (weights == 1e308).any()
-        cells, logs = (np.array(a) for a in cells_and_logs(weights))
+        cells, logs, x = (np.array(a) for a in cells_and_logs(weights))
         one_by_one = [ProbTable(*column) for column in weights.T.tolist()]
         assert (bits([t.cells for t in one_by_one]) == bits(cells.T)).all()
         assert (bits([t.logs for t in one_by_one]) == bits(logs.T)).all()
+        assert (bits([t.x for t in one_by_one]) == bits(x)).all()
 
     def test_psi_past_the_no_overflow_bound_fails_where_psi_cells_does(self):
         # Where a log of the array form is not finite, psi raises; elsewhere it
@@ -405,14 +410,17 @@ class TestOneTableIsAColumnOfAnArray:
         points = magnitudes * rng.choice((-1.0, 0.0, 1.0), size=magnitudes.shape)
         assert (np.abs(points).max(axis=1) > 2.0**1022).mean() > 0.5
         with np.errstate(over="ignore", invalid="ignore"):
-            cells, logs = (np.array(a) for a in psi_cells(*points.T))
+            cells, logs, x = (np.array(a) for a in psi_cells(*points.T))
         finite = np.isfinite(logs).all(axis=0)
         assert 100 < finite.sum() < len(points) - 100
-        for point, ok, want_cells, want_logs in zip(points.tolist(), finite, cells.T, logs.T):
+        for point, ok, want_cells, want_logs, want_x in zip(
+            points.tolist(), finite, cells.T, logs.T, x
+        ):
             if ok:
                 t = psi(MarginCoords(*point))
                 assert (bits(t.cells) == bits(want_cells)).all(), point
                 assert (bits(t.logs) == bits(want_logs)).all(), point
+                assert bits(t.x) == bits(want_x), point
             else:
                 with pytest.raises(DegenerateTable, match="not finite"):
                     psi(MarginCoords(*point))
@@ -429,6 +437,34 @@ class TestOneTableIsAColumnOfAnArray:
     def test_margin_coords_names_the_first_coordinate_that_is_not_finite(self, coords, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MarginCoords(*coords)
+
+
+class TestTheProducersKeepX:
+    """Each producer of a table holds x next to its cells and logs."""
+
+    def test_theta_of_psi_gives_back_x_to_the_bit(self):
+        rng = np.random.default_rng(44)
+        points = rng.uniform(-500.0, 500.0, size=(10_000, 3))
+        points[:2_000, 0] = rng.uniform(-1e-6, 1e-6, 2_000)
+        for point in points.tolist():
+            assert bits(theta(psi(MarginCoords(*point))).x) == bits(point[0]), point
+
+    def test_symmetries_carry_x_as_half_log_odds_of_the_moved_logs(self):
+        weights = np.random.default_rng(45).uniform(1e-3, 1.0, size=(300, 4)).tolist()
+        for w in weights + [(1, 1, 1, 1), (2, 3, 3, 2), (5e-324, 1, 1, 1e300)]:
+            t = ProbTable(*w)
+            assert bits(t.x) == bits(tables.half_log_odds(t.logs)), w
+            for op in ("transpose_markers", "swap_rows", "swap_cols"):
+                moved = symmetry_apply(t, op)
+                assert bits(moved.x) == bits(tables.half_log_odds(moved.logs)), (w, op)
+
+    def test_symmetries_of_psi_carry_its_x(self):
+        for x in (0.0, -0.0, 1e-300, -2.5, 400.0):
+            t = psi(MarginCoords(x, 1.5, -0.25))
+            assert bits(symmetry_apply(t, "transpose_markers").x) == bits(x)
+            for op in ("swap_rows", "swap_cols"):
+                # 0.0 - x: a zero x of either sign becomes +0.0.
+                assert bits(symmetry_apply(t, op).x) == bits(0.0 - x), (x, op)
 
 
 class TestSymmetry:
