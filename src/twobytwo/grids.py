@@ -5,12 +5,13 @@ plane of constant odds-ratio, viewed as a function of the margin
 coordinates (y, z).  The emitted CSV (header ``y,z,value``) is the raw
 data behind contour/heatmap plots.
 
-Each value is the measure's one kernel on the cells and logs that
+Each value is the measure's one kernel on the cells, logs and x that
 ``tables.psi_cells`` gives at its point: ``eval_in_coords``, ``evaluate``
 of ``psi``, there.  Transposing the markers swaps y and z and leaves every
 measure, and the kernels keep that to the last bit, so the grid is
 symmetric: ``grid_blocks`` runs the kernel on one cell of each pair (y, z),
-(z, y) and copies the other.
+(z, y) and copies the other.  The axis is centred on 0, so a grid also
+equals its point reflection (y, z) -> (-y, -z) to the bit.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class GridSpec:
                 f"step must be in (0, 2*half_width], got {self.step!r}"
             )
         # grid_axis builds a list of this many floats per axis.
-        if not 2.0 * self.half_width / self.step + 1.0 <= _MAX_POINTS:
+        if not 2.0 * (self.half_width / self.step) + 1.0 <= _MAX_POINTS:
             raise ValueError(
                 f"point count 2*half_width/step + 1 must be at most {_MAX_POINTS},"
                 f" got half_width={self.half_width!r} and step={self.step!r}"
@@ -71,9 +72,15 @@ class GridSpec:
 
 
 def grid_axis(spec):
-    """Grid coordinates from -half_width to +half_width, both ends included."""
-    count = int(round(2.0 * spec.half_width / spec.step)) + 1
-    return [-spec.half_width + i * spec.step for i in range(count)]
+    """count = round(2 * half_width / step) + 1 grid coordinates, centred on 0.
+
+    The i-th is (i - (count - 1) / 2) * step, so the ends are
+    +-(count - 1) * step / 2, the mirror of every point is on the axis to the
+    bit, and so is 0.0 where count is odd.
+    """
+    count = round(2.0 * (spec.half_width / spec.step)) + 1
+    centre = (count - 1) / 2
+    return [(i - centre) * spec.step for i in range(count)]
 
 
 def grid_blocks(spec):

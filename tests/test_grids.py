@@ -71,6 +71,43 @@ class TestGridSpec:
             GridSpec(MeasureKind("corr_r"), 2.0, 2.0**62, 1.0)
 
 
+# (half_width, step) of grids of odd and even point counts; at half-width
+# 400 the cell floors act.
+AXIS_SHAPES = [(0.3, 0.1), (1.0, 0.4), (6.0, 0.05), (400.0, 50.0)]
+
+
+class TestAxis:
+    """The axis is centred on 0: each point's mirror is on it, to the bit."""
+
+    @pytest.mark.parametrize("half_width,step", AXIS_SHAPES + [(2.0, 0.5), (1.0, 2.0)])
+    def test_axis_is_mirror_exact(self, half_width, step):
+        spec = GridSpec(MeasureKind("corr_r"), 5.0, half_width, step)
+        axis = grid_axis(spec)
+        assert len(axis) == round(2.0 * half_width / step) + 1
+        assert [-v for v in axis] == axis[::-1]
+        assert axis[-1] == pytest.approx(half_width, rel=1e-12)
+        assert all(b - a == pytest.approx(step, rel=1e-9) for a, b in zip(axis, axis[1:]))
+        if len(axis) % 2:
+            middle = axis[len(axis) // 2]
+            assert middle == 0.0 and not math.copysign(1.0, middle) < 0.0
+
+    def test_axis_at_the_largest_doubles(self):
+        # 2 * half_width overflows; the count of half_width / step does not.
+        spec = GridSpec(MeasureKind("corr_r"), 2.0, 1e308, 1e308)
+        assert grid_axis(spec) == [-1e308, 0.0, 1e308]
+
+    @pytest.mark.parametrize("odds_ratio", [0.2, 2.0, 12.9, 40.0])
+    @pytest.mark.parametrize("half_width,step", AXIS_SHAPES)
+    def test_grids_equal_their_point_reflection(self, half_width, step, odds_ratio):
+        # (y, z) -> (-y, -z) swaps p00 with p11 and p01 with p10, which
+        # every measure keeps to the last bit, sign included.
+        for name in CLI_NAMES:
+            spec = GridSpec(MeasureKind.from_cli(name), odds_ratio, half_width, step)
+            values = np.vstack([block for _, block in grid_blocks(spec)])
+            reflected = values[::-1, ::-1]
+            assert np.array_equal(values.view(np.int64), reflected.view(np.int64)), spec
+
+
 class TestEmitGrid:
     def test_row_count_is_axis_squared(self):
         spec = GridSpec(MeasureKind("yule_y"), 5.0, 3.0, 0.25)
@@ -242,14 +279,14 @@ class TestKernelCells:
 # sha256 of the CSV that emit_grid writes for the benchmark's grids
 # (half-width 6, step 0.05: 241 x 241 cells).
 BENCHMARK_GRID_SHA256 = {
-    ("HS", 2.0): "012d48af25222fbe5e881097846139e20dc2560ca353c5db9f789e1feab8fba4",
-    ("HS", 12.9): "25dab2ac0dc05c8c408bb03707d2aa8f6906b2d42da1caa97f78417ba8a57179",
-    ("HS", 40.0): "6bd4f67a3aaa132088ecc49937afbfc05bac9a3af44b33e4bc4939a3c9b067e1",
-    ("HS", 100.0): "1803bf39514bee111fc5694c22009f897ad665ad7426cf1f133fa0c09677cee7",
-    ("MI", 2.0): "debb08278b36673b068e206e1cde60b63296ec8fdb070b8286db5a3a40a2ecc7",
-    ("MI", 12.9): "0d414678a1c7627f143a1d72c7debb2dce4756ac125b71d7dc655e5a116541be",
-    ("MI", 40.0): "d61009a4b0b1ad34a53266beb08ba38a1a525053927c6e4a7904b40ca4fa91ba",
-    ("MI", 100.0): "76de6701ee4c56fdca097d36f90d70e290ad24f8cb86723d038957f972691e46",
+    ("HS", 2.0): "b646052f2f87792d7b0fb2271075a079d5c3db3cc801b39d626461d56ccfdee7",
+    ("HS", 12.9): "d41a4a268709884b571bf25c1ff2d5e56e8f43251de0811452770b96b6e5b7d1",
+    ("HS", 40.0): "b05957e7eb5eeff96b754f4cf609f9df5e06c3c95ff31d40ff2b97e5f3b5637c",
+    ("HS", 100.0): "fee882cb7d5d789d7f3264ea5860db5adc3839dd9fad7d3eb5bc1bcdfe0f628f",
+    ("MI", 2.0): "b5f7aae8e83f09b06b8fa76cce23a8b4fd5e0b8eeb352b19a46af40a0ad07c00",
+    ("MI", 12.9): "f2b975816c7c2bfee7199330f88c8b8740b3689b175c2493ef1b72702b1bb92b",
+    ("MI", 40.0): "59fd2c03284b70da40fe8365356c8963bcbee2f0c5729dcbd266c410b2040268",
+    ("MI", 100.0): "82f5851da22dc4a68e0e967a98484517db44771dbe874bb67689ebb22b01c39c",
 }
 
 
