@@ -72,15 +72,11 @@ class GridSpec:
 
 
 def grid_axis(spec):
-    """count = round(2 * half_width / step) + 1 grid coordinates, centred on 0.
-
-    The i-th is (i - (count - 1) / 2) * step, so the ends are
-    +-(count - 1) * step / 2, the mirror of every point is on the axis to the
-    bit, and so is 0.0 where count is odd.
-    """
+    """round(2 * half_width / step) + 1 coordinates (i - (count - 1) / 2) * step:
+    the ends are +-(count - 1) * step / 2, each point's mirror is on the axis
+    to the bit, and so is 0.0 where the count is odd."""
     count = round(2.0 * (spec.half_width / spec.step)) + 1
-    centre = (count - 1) / 2
-    return [(i - centre) * spec.step for i in range(count)]
+    return [(i - (count - 1) / 2) * spec.step for i in range(count)]
 
 
 def grid_blocks(spec):

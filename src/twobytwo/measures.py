@@ -194,8 +194,7 @@ class Measure:
 
     ``cells(p, l, x, n)`` is the one formula of the measure: ``p`` is the
     four normalised cells (p00, p01, p10, p11), ``l`` their exact natural
-    logs, each four arrays (or floats), and ``x`` is ln sqrt(odds-ratio)
-    as the ``tables`` producer of the cells gives it.
+    logs, each four arrays (or floats), and ``x`` the x that ``tables`` gives.
     ``limit(x, s, other, n)`` is the closed-form limit as one margin
     coordinate goes to s * infinity (s = +-1) with the other held.  ``n``
     is the HS exponent; only measures with ``uses_n`` read it.

@@ -193,19 +193,11 @@ def count_pair(matrix, i, j):
             )
     if i == j:
         raise ValueError(f"need two distinct markers, got {i!r} twice")
-    a = matrix.data[:, i]
-    b = matrix.data[:, j]
+    a, b = matrix.data[:, i], matrix.data[:, j]
     ok = (a != _MISSING) & (b != _MISSING)
-    a = a[ok]
-    b = b[ok]
-    n11 = int(np.count_nonzero(a & b))
-    n1_ = int(np.count_nonzero(a))
-    n_1 = int(np.count_nonzero(b))
-    n = int(a.size)
-    n10 = n1_ - n11
-    n01 = n_1 - n11
-    n00 = n - n11 - n10 - n01
-    return n00, n01, n10, n11
+    a, b = a[ok], b[ok]
+    n11, n1_, n_1 = (np.count_nonzero(v) for v in (a & b, a, b))
+    return tuple(_counts(a.size, n11, n1_, n_1).tolist())
 
 
 def _float_pseudocount(pseudocount):
@@ -311,8 +303,7 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     top_a, top_b = pairs(candidates[np.lexsort((b, a, key[candidates]))[:top_k]])
 
     counts = _counts(*(g[top_a, top_b] for g in grams))
-    cells = np.add(counts, pseudocount, dtype=np.float64)
-    top = cells_and_logs(cells)
+    top = cells_and_logs(np.add(counts, pseudocount, dtype=np.float64))
     values = {kind: kind.on_cells(*top) for kind in measures}
     results = []
     for k, c in enumerate(counts.T.astype(np.int64).tolist()):

@@ -8,10 +8,9 @@ with the x-axis carrying log-sqrt-odds-ratio and (y, z) parameterising the
 margins.  ``ray_limit`` describes what happens on the boundary when cells
 are driven to zero along a straight ray in coordinate space.
 
-Each producer of a table hands the measures its cells, logs and x, and this
-is the one module that knows where x comes from: ``psi`` and ``psi_cells``
-keep the coordinate x, ``cells_and_logs`` (so ``ProbTable`` and the scanner's
-tiles) takes ``half_log_odds`` of its logs, and ``symmetry_apply`` carries it.
+Each producer of a table hands the measures (cells, logs, x), and only this
+module knows where x comes from: ``psi`` and ``psi_cells`` keep the coordinate
+x, and ``cells_and_logs`` (``ProbTable``, scan tiles) takes it from its logs.
 """
 
 from __future__ import annotations
@@ -215,19 +214,18 @@ def _largest(v, maximum):
 def psi_cells(x, y, z):
     """Cells, logs and x of the table proportional to (e^{x+y+z}, e^y; e^z, e^x).
 
-    Returns ``(cells, logs, x)``: two lists of four components that
-    broadcast over coordinate arrays, and the checked x, which the logs hold
-    only to their rounding; ``psi`` is the one-point form.  The maximal
-    exponent is subtracted before exponentiation and dominated weights are
-    floored at exp(_EXP_FLOOR), so coordinates with |x|, |y|, |z| <= 500
-    never overflow or produce a zero cell; the logs are the exponents
-    normalised by ``_log_total``, exact however small a cell.  The exponents
-    are centred on (x + y + z) / 2 and written in halves of x, u = y + z and
-    w = y - z, so that y <-> z swaps p01 and p10 and (y, z) -> (-y, -z) swaps
-    p00 with p11 and p01 with p10 exactly.  Each coordinate is a real, or an
-    array of a real dtype, taken as float64; a bool, a non-real or a
-    non-finite coordinate, or array element, raises the ValueError of
-    ``MarginCoords``.
+    Returns ``(cells, logs, x)``: lists of four components that broadcast
+    over coordinate arrays, and x as checked; ``psi`` is the one-point form.
+    The maximal exponent is subtracted before exponentiation and dominated
+    weights are floored at exp(_EXP_FLOOR), so coordinates with |x|, |y|,
+    |z| <= 500 never overflow or produce a zero cell; the logs are the
+    exponents normalised by ``_log_total``, exact however small a cell.  The
+    exponents are centred on (x + y + z) / 2 and written in halves of x,
+    u = y + z and w = y - z, so that y <-> z swaps p01 and p10 and
+    (y, z) -> (-y, -z) swaps p00 with p11 and p01 with p10 exactly.  Each
+    coordinate is a real, or an array of a real dtype, taken as float64; a
+    bool, a non-real or a non-finite coordinate, or array element, raises
+    the ValueError of ``MarginCoords``.
     """
     return _psi_cells(*map(_coordinate, "xyz", (x, y, z)), np.maximum, np.minimum)
 
@@ -277,8 +275,7 @@ def cell_total(weights):
 
 def cells_and_logs(weights):
     """Normalised cells, none below _CELL_FLOOR, their exact natural logs and
-    x = ``half_log_odds`` of the logs, of (4, ...) weights: two lists of four
-    arrays and an array."""
+    x of the logs, of (4, ...) weights: lists of four arrays, and an array."""
     return _cells_and_logs(weights, np.maximum, np.minimum)
 
 

@@ -551,15 +551,16 @@ class TestScan:
         original = scanner._counts
 
         def spy(*grams):
-            dtypes.append(grams[0].dtype.name)
+            dtypes.append(np.asarray(grams[0]).dtype.name)
             return original(*grams)
 
         monkeypatch.setattr(scanner, "_counts", spy)
         in_float32 = scan(m, kinds, kinds[-1], top_k=66, pseudocount=0.1)
         monkeypatch.setattr(scanner, "_FLOAT32_SAMPLES", 0)
         in_float64 = scan(m, kinds, kinds[-1], top_k=66, pseudocount=0.1)
-        # One tile, then the top k, in each run.
-        assert dtypes == ["float32", "float32", "float64", "float64"]
+        # count_pair's first pair (Python ints), one tile, then the top k,
+        # in each run.
+        assert dtypes == ["int64", "float32", "float32", "int64", "float64", "float64"]
         assert in_float64 == in_float32
         for r in in_float64:
             assert r.counts == count_pair(m, int(r.id_a[1:]), int(r.id_b[1:]))
