@@ -418,6 +418,50 @@ class TestDocumentedDomain:
                     assert abs(got - truth) <= tol, (tag, form, got, truth)
 
 
+# The measures whose kernels read x, held to 1e-10 relative over the domain.
+# MI and sMI are left out: on nearly pure tables their sums of p log p cancel.
+X_MEASURES = ("odds_ratio", "yule_q", "yule_y", "d_raw", "d_prime", "corr_r", "kappa",
+              "entropy", "entropy_diag", "hs")
+
+
+def accuracy_points(seed=46):
+    """100 seeded points in |coords| <= 20, 100 in <= 500, and 100 near
+    independence, |x| <= 1e-6 with |y|, |z| <= 30."""
+    rng = np.random.default_rng(seed)
+    near = np.column_stack([rng.uniform(-1e-6, 1e-6, 100), rng.uniform(-30, 30, (100, 2))])
+    points = np.concatenate([rng.uniform(-20, 20, (100, 3)), rng.uniform(-500, 500, (100, 3)), near])
+    return [MarginCoords(*point) for point in points.tolist()]
+
+
+def oracle_digits(c):
+    """40 digits plus the decimal span of the point: of its four cell
+    exponents, which the determinant and 1 - chance cancel over, and of
+    its coordinates, such as a tiny x beside y + z."""
+    exponents = (c.x + c.y + c.z, c.y, c.z, c.x)
+    coords = [abs(v) for v in (c.x, c.y, c.z) if v != 0.0]
+    span = (max(exponents) - min(exponents)) / math.log(10.0)
+    return 40 + math.ceil(span + math.log10(max(coords) / min(coords)))
+
+
+class TestAccuracyOfTheMeasuresThatReadX:
+    def test_relative_error_against_mpmath(self):
+        worst = {}
+        for c in accuracy_points():
+            dps = oracle_digits(c)
+            want = mp_measures(mp_psi_weights(c, dps), dps=dps)
+            for tag in X_MEASURES:
+                truth = want[tag]
+                if not sys.float_info.min <= abs(truth) <= sys.float_info.max:
+                    continue
+                got = outcome(lambda: eval_in_coords(MeasureKind(tag), c))
+                if isinstance(got, type):
+                    continue
+                error = float(abs((got - truth) / truth))
+                worst[tag] = max(worst.get(tag, 0.0), error)
+                assert error <= 1e-10, (tag, c, got, truth)
+        assert set(worst) == set(X_MEASURES)
+
+
 class TestMarginLimits:
     def test_r_and_smi_vanish(self):
         for kind in (MeasureKind("corr_r"), MeasureKind("s_mut_inf")):
