@@ -9,9 +9,13 @@ Each value is the measure's one kernel on the cells, logs and x that
 ``tables.psi_cells`` gives at its point: ``eval_in_coords``, ``evaluate``
 of ``psi``, there.  Transposing the markers swaps y and z and leaves every
 measure, and the kernels keep that to the last bit, so the grid is
-symmetric: ``grid_blocks`` runs the kernel on one cell of each pair (y, z),
-(z, y) and copies the other.  The axis is centred on 0, so a grid also
-equals its point reflection (y, z) -> (-y, -z) to the bit.
+symmetric.  The axis is centred on 0, so a grid also equals its point
+reflection (y, z) -> (-y, -z) to the bit, which swaps p00 with p11 and p01
+with p10.  ``grid_blocks`` uses both: it runs the kernel on about a quarter
+of the cells, copies the others of the first half of the grid from their
+transposes and anti-transposes, and builds each row past the middle as its
+mirror row reversed; ``emit_grid`` writes a mirrored row from its mirror
+row's formatted fields.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ __all__ = ["GridSpec", "grid_axis", "grid_blocks", "emit_grid"]
 _BLOCK_CELLS = 4096
 
 # Cells of the grid's first rows that grid_blocks keeps to copy their
-# transposes from (2 MB of float64): the whole grid up to 512 points a side,
-# fewer rows of a larger one, so a grid of any size streams in bounded memory.
+# transposes and mirrors from (2 MB of float64): the first half of the grid up
+# to 724 points a side, fewer rows of a larger one, so a grid of any size
+# streams in bounded memory.  emit_grid holds the value fields of an eighth as
+# many cells (about 2 MB of bytes objects).
 _KEPT_CELLS = 2**18
 
 # Most points on one grid axis: the largest length numpy can index.
@@ -83,28 +89,37 @@ def grid_blocks(spec):
     """Yield (ys, values) for each block of rows of the grid, in y order.
 
     A block is about _BLOCK_CELLS cells, at least one row; values has shape
-    (len(ys), z count), y-major.  The y and z axes are the same list and
-    every measure is symmetric in y and z, so the value at (i, j) is the
-    value at (j, i).  The grid's first rows, up to _KEPT_CELLS cells, are
-    kept.  A block that starts at row s copies its columns j < min(s, kept
-    rows) from them, transposed, and runs the kernel once on the rest: the
-    block's y values as a column against the z axis from that column on as
-    a row.  A cell and its transpose fail together, and the one in the
-    earlier row is computed, so a kernel that fails raises before the first
-    block holding a failing cell is yielded.
+    (len(ys), z count), y-major.  The y and z axes are the same centred list
+    and every measure keeps both the transpose (y, z) -> (z, y) and the point
+    reflection (y, z) -> (-y, -z), so with n points the value at (i, j) is
+    also the value at (j, i), (n-1-i, n-1-j) and (n-1-j, n-1-i).  The grid's
+    first rows, up to half of them and up to _KEPT_CELLS cells, are kept, and
+    _blocks says what each block copies from them: a row past the middle
+    whose mirror row is kept and in an earlier block is that row reversed,
+    with no kernel call; a computed row copies its columns j < copied
+    transposed and its columns j >= n - copied through the anti-transpose
+    (the transposed copy reversed on both axes), and the kernel runs once
+    on the rest: the computed rows' y values as a column against the z
+    axis between those columns as a row.  The cells of an orbit under these
+    symmetries fail together, and the one in the earliest row of the orbit
+    is computed, so a kernel that fails raises before the first block
+    holding a failing cell is yielded.
     """
     x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
     count = len(axis)
     z = np.array(axis)
-    kept = np.empty((min(count, _KEPT_CELLS // count), count))
-    rows_per_block = _rows_per_block(count)
-    for start in range(0, count, rows_per_block):
-        stop = min(start + rows_per_block, count)
-        copied = min(start, len(kept))
+    kept = np.empty((_kept_rows(count), count))
+    for start, stop, copied, mirrored in _blocks(count):
         block = np.empty((stop - start, count))
-        block[:, :copied] = kept[:copied, start:stop].T
-        block[:, copied:] = spec.measure.on_coords(x, z[start:stop, np.newaxis], z[copied:])
+        computed = block[: mirrored - start]
+        if len(computed):
+            computed[:, :copied] = kept[:copied, start:mirrored].T
+            computed[:, count - copied :] = kept[:copied][::-1, ::-1][:, start:mirrored].T
+            computed[:, copied : count - copied] = spec.measure.on_coords(
+                x, z[start:mirrored, np.newaxis], z[copied : count - copied]
+            )
+        block[mirrored - start :] = kept[count - stop : count - mirrored][::-1, ::-1]
         if start < len(kept):
             kept[start:stop] = block[: len(kept) - start]
         yield axis[start:stop], block
@@ -118,8 +133,12 @@ def emit_grid(spec, sink):
     spec.  One ``repr`` per value would take most of the run, so each block
     of grid_blocks is formatted as it arrives: its values by one
     ``orjson.dumps`` call, whose Ryu formatter writes the same digits (see
-    _repr_fields), and the block is written by one ``b"".join``.  If a
-    kernel fails, the output stops at the end of the last whole block.
+    _repr_fields), and the block is written by one ``b"".join``.  A row that
+    grid_blocks mirrors takes the value fields of its mirror row, reversed:
+    the fields of a computed row whose mirror comes in a later block are
+    held, up to _KEPT_CELLS // 8 cells, until the mirror is written, and
+    only the rows without held fields are formatted.  If a kernel fails,
+    the output stops at the end of the last whole block.
     """
     axis = grid_axis(spec)
     count = len(axis)
@@ -130,15 +149,25 @@ def emit_grid(spec, sink):
     # every block.
     line_parts = [b"\n"] * (3 * count * rows_per_block + 1)
     line_parts[1:-1:3] = [f"{z!r},".encode("ascii") for z in axis] * rows_per_block
+    held_rows = min(_kept_rows(count), _KEPT_CELLS // 8 // count)
+    held = {}  # row -> its value fields, for the mirror row count - 1 - row
 
     sink.write(b"y,z,value\n")
-    for ys, values in grid_blocks(spec):
+    for (start, stop, _, mirrored), (ys, values) in zip(_blocks(count), grid_blocks(spec)):
         line_parts[3 * values.size :] = [b"\n"]  # the last block may be shorter
         for row, y in enumerate(ys):
             line = 3 * count * row
             line_parts[line : line + 3 * count : 3] = [f"\n{y!r},".encode("ascii")] * count
         line_parts[0] = line_parts[0][1:]
-        line_parts[2::3] = _repr_fields(values.ravel())
+        reused = min(stop, max(mirrored, count - held_rows))
+        fields = _repr_fields(values[: reused - start].ravel())
+        line_parts[2 : 3 * len(fields) : 3] = fields
+        # Rows whose mirror is in a later block, within the budget.
+        for row in range(start, min(stop, held_rows, count - stop)):
+            held[row] = fields[(row - start) * count : (row - start + 1) * count]
+        for row in range(reused, stop):
+            line = 3 * count * (row - start)
+            line_parts[line + 2 : line + 3 * count : 3] = held.pop(count - 1 - row)[::-1]
         sink.write(b"".join(line_parts))
     return count**2
 
@@ -146,6 +175,30 @@ def emit_grid(spec, sink):
 def _rows_per_block(count):
     """Rows of count cells in one block of grid_blocks and emit_grid."""
     return max(1, _BLOCK_CELLS // count)
+
+
+def _kept_rows(count):
+    """Rows of count cells that grid_blocks keeps: at most half the grid, the
+    most that the mirrored rows and the transposed copies read."""
+    return min(count // 2, _KEPT_CELLS // count)
+
+
+def _blocks(count):
+    """Yield (start, stop, copied, mirrored) of each block of grid_blocks and
+    emit_grid: the one place that says which rows and columns are copied.
+
+    copied = min(start, _kept_rows(count)) rows before the block are kept.
+    The block's rows from mirrored = count - copied on (within the block) are
+    their mirror rows count - 1 - i reversed; the rows before copy their
+    columns j < copied and j >= count - copied, and the kernel computes the
+    rest.
+    """
+    kept = _kept_rows(count)
+    rows_per_block = _rows_per_block(count)
+    for start in range(0, count, rows_per_block):
+        stop = min(start + rows_per_block, count)
+        copied = min(start, kept)
+        yield start, stop, copied, min(stop, max(start, count - copied))
 
 
 def _repr_fields(values):

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from twobytwo.cli import main, table1_rows
 from twobytwo.critical import critical_points
-from twobytwo.grids import GridSpec
+from twobytwo.grids import GridSpec, _rows_per_block, grid_axis
 from twobytwo.measures import DEFAULT_HS_N, MEASURES, MeasureKind
 from twobytwo.tables import ProbTable
 from conftest import mp_measures
@@ -270,6 +270,40 @@ class TestGrid:
         assert result.exit_code == 1
         assert "lambda: overflow encountered in exp" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("radius", [0.3, 1.5])
+    def test_numeric_failure_stops_at_a_whole_block(self, runner, monkeypatch, radius):
+        # r's kernel overflows on the cells within a radius of the centre in
+        # |l00 - l11| + |l01 - l10|, a set that transposing the markers and
+        # the point reflection each keep.  stdout holds the whole blocks
+        # before the first row that fails in a walk of one kernel call per
+        # row, and those rows equal the walk's.
+        corr_r = MEASURES["corr_r"].cells
+
+        def failing(p, l, x, n):
+            inside = abs(l[0] - l[3]) + abs(l[1] - l[2]) < radius
+            return corr_r(p, l, x, n) * np.exp(np.where(inside, 1000.0, 0.0))
+
+        monkeypatch.setitem(MEASURES, "corr_r", dataclasses.replace(MEASURES["corr_r"], cells=failing))
+        spec = GridSpec(MeasureKind("corr_r"), 12.9, 6.0, 0.05)
+        axis = grid_axis(spec)
+        lines = ["y,z,value\n"]
+        for y in axis:
+            try:
+                values = spec.measure.on_coords(0.5 * math.log(12.9), y, np.array(axis))
+            except FloatingPointError:
+                break
+            lines += [f"{y!r},{z!r},{v!r}\n" for z, v in zip(axis, values.tolist())]
+        failing_row = len(lines) // len(axis)
+        assert 0 < failing_row < len(axis) // 2
+        whole_rows = failing_row - failing_row % _rows_per_block(len(axis))
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "r", "--odds-ratio", "12.9", "--half-width", "6", "--step", "0.05"],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "Error: r: overflow encountered in exp\n"
+        assert result.stdout == "".join(lines[: 1 + whole_rows * len(axis)])
 
     def test_lambda_at_the_largest_odds_ratio_is_finite(self, runner):
         # lambda is the odds-ratio DBL_MAX at every point.  The kernel reads

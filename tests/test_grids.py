@@ -100,10 +100,13 @@ class TestAxis:
     @pytest.mark.parametrize("half_width,step", AXIS_SHAPES)
     def test_grids_equal_their_point_reflection(self, half_width, step, odds_ratio):
         # (y, z) -> (-y, -z) swaps p00 with p11 and p01 with p10, which
-        # every measure keeps to the last bit, sign included.
+        # every measure keeps to the last bit, sign included; grid_blocks
+        # copies the rows past the middle from it.  Checked on one kernel
+        # call per row, so the copy itself is not under test.
         for name in CLI_NAMES:
             spec = GridSpec(MeasureKind.from_cli(name), odds_ratio, half_width, step)
-            values = np.vstack([block for _, block in grid_blocks(spec)])
+            count = len(grid_axis(spec))
+            values = np.vstack([np.broadcast_to(v, (count,)) for _, v in per_row_rows(spec)])
             reflected = values[::-1, ::-1]
             assert np.array_equal(values.view(np.int64), reflected.view(np.int64)), spec
 
@@ -204,17 +207,38 @@ def per_row_rows(spec):
 class TestBlocks:
     """Evaluating a block of rows per kernel call changes no bit."""
 
-    @pytest.fixture(params=["partial last block", "one row per block", "ten rows kept"])
+    @pytest.fixture(
+        params=[
+            "partial last block",
+            "one row per block",
+            "even point count",
+            "ten rows kept",
+            "forty rows kept",
+        ]
+    )
     def shape(self, request, monkeypatch):
         """(half_width, step) of a grid, and the row count of each of its blocks."""
         if request.param == "one row per block":
-            # Rows of 21 cells against a budget of 16 cells.
+            # Rows of 21 cells against a budget of 16 cells: rows 11-20 are
+            # rows 9-0 reversed.
             monkeypatch.setattr(grids, "_BLOCK_CELLS", 16)
             return 1.0, 0.1, [1] * 21
+        if request.param == "even point count":
+            # 120 rows, no middle row: rows 0-67 are computed (the middle
+            # pair 59 and 60 in one block), and rows 68-119 are rows 51-0
+            # reversed.
+            return 5.95, 0.1, [34, 34, 34, 18]
         if request.param == "ten rows kept":
             # 10 of 121 rows kept: the blocks after the first copy only
-            # columns 0-9, and the kernel computes the rest of each row.
+            # columns 0-9 and 111-120, rows 111-120 are rows 9-0 reversed,
+            # and the kernel computes the rest of rows 33-110.
             monkeypatch.setattr(grids, "_KEPT_CELLS", 10 * 121)
+            return 3.0, 0.05, [33, 33, 33, 22]
+        if request.param == "forty rows kept":
+            # 40 of 121 rows kept: in the block of rows 66-98, rows 66-80 are
+            # computed and rows 81-98 are rows 39-22 reversed; emit_grid
+            # holds the fields of rows 0-4 only and formats the others.
+            monkeypatch.setattr(grids, "_KEPT_CELLS", 40 * 121)
             return 3.0, 0.05, [33, 33, 33, 22]
         # 121 rows in blocks of 33: the last block holds 22.
         return 3.0, 0.05, [33, 33, 33, 22]
@@ -238,8 +262,8 @@ class TestBlocks:
 
 
 class TestKernelCells:
-    """grid_blocks runs the kernel on one cell of each transposed pair that
-    the kept rows hold."""
+    """grid_blocks runs the kernel on the cells of the kept rows' orbits
+    under transpose and point reflection that no earlier block holds."""
 
     @pytest.fixture
     def cells(self, monkeypatch):
@@ -257,10 +281,12 @@ class TestKernelCells:
     @pytest.mark.parametrize(
         "kept_cells,want",
         [
-            (None, 30_961),
-            # One row kept: only column 0 of the rows past the first block
-            # is copied.
-            (241, 57_856),
+            # 120 rows kept: rows 128-240 are mirrored, and the kernel sees
+            # the middle columns of rows 0-127.
+            (None, 16_512),
+            # One row kept: only columns 0 and 240 of the rows past the first
+            # block are copied, and row 240 is row 0 reversed.
+            (241, 57_392),
             # None kept: the kernel sees every cell.
             (0, 241 * 241),
         ],
