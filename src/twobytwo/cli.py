@@ -98,13 +98,9 @@ def measure(table_text, measures_text, n):
     names = [name.strip() for name in measures_text.split(",") if name.strip()]
     if not names:
         raise click.UsageError("--measures must name at least one measure")
-    lines = []
-    for name, kind in zip(names, _kinds(names, n)):
-        try:
-            lines.append(f"{name},{evaluate(kind, table):.6f}\n")
-        except ArithmeticError as exc:
-            raise click.ClickException(f"{name}: {exc}") from None
-    click.echo("".join(lines), nl=False)
+    kinds = _kinds(names, n)
+    values = _checked(lambda: [evaluate(kind, table) for kind in kinds], data=ArithmeticError)
+    click.echo("".join(f"{name},{v:.6f}\n" for name, v in zip(names, values)), nl=False)
 
 
 @main.command()
@@ -116,15 +112,14 @@ def measure(table_text, measures_text, n):
 @_output
 def grid(measure_name, odds_ratio, half_width, step, n, output):
     """Emit a y,z,value CSV grid of a margin weighting function."""
-    (kind,) = _kinds([measure_name], n)
-    spec = _checked(GridSpec, kind, odds_ratio, half_width, step)
+    spec = _checked(GridSpec, *_kinds([measure_name], n), odds_ratio, half_width, step)
     try:
         emit_grid(spec, output)
     except ArithmeticError as exc:
         if isinstance(output, LazyFile):  # a file, not stdout: leave no partial CSV
             output.close()
             os.remove(output.name)
-        raise click.ClickException(f"{measure_name}: {exc}") from None
+        raise click.ClickException(str(exc)) from None
 
 
 @main.command()

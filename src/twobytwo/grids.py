@@ -6,16 +6,16 @@ coordinates (y, z).  The emitted CSV (header ``y,z,value``) is the raw
 data behind contour/heatmap plots.
 
 Each value is the measure's one kernel on the cells, logs and x that
-``tables.psi_cells`` gives at its point: ``eval_in_coords``, ``evaluate``
-of ``psi``, there.  Transposing the markers swaps y and z and leaves every
-measure, and the kernels keep that to the last bit, so the grid is
-symmetric.  The axis is centred on 0, so a grid also equals its point
-reflection (y, z) -> (-y, -z) to the bit, which swaps p00 with p11 and p01
-with p10.  ``grid_blocks`` uses both: it runs the kernel on about a quarter
-of the cells, copies the others of the first half of the grid from their
-transposes and anti-transposes, and builds each row past the middle as its
-mirror row reversed; ``emit_grid`` writes a mirrored row from its mirror
-row's formatted fields.
+``tables.psi_cells`` gives at its point, ``eval_in_coords`` there.
+Transposing the markers swaps y and z and leaves every measure, and the
+kernels keep that to the last bit, so the grid is symmetric.  The axis is
+centred on 0, so a grid also equals its point reflection (y, z) -> (-y, -z)
+to the bit.  ``grid_blocks`` uses both: it runs the kernel on about a
+quarter of the cells, copies the others of the first half of the grid from
+their transposes and anti-transposes, and builds each row past the middle
+as its mirror row reversed; ``emit_grid`` writes a mirrored row from its
+mirror row's formatted fields.  ``GridSpec`` accepts at most 2^18 points a
+side, so every grid streams in the memory of a few rows.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ _BLOCK_CELLS = 4096
 
 # Cells of the grid's first rows that grid_blocks keeps to copy their
 # transposes and mirrors from (2 MB of float64): the first half of the grid up
-# to 724 points a side, fewer rows of a larger one, so a grid of any size
-# streams in bounded memory.  emit_grid holds the value fields of an eighth as
-# many cells (about 2 MB of bytes objects).
+# to 724 points a side, fewer rows of a larger one.  emit_grid holds the value
+# fields of an eighth as many cells (about 2 MB of bytes objects).  GridSpec
+# accepts at most _MAX_POINTS points a side, so that one row fits in as many.
 _KEPT_CELLS = 2**18
-
-# Most points on one grid axis: the largest length numpy can index.
-_MAX_POINTS = np.iinfo(np.intp).max
+_MAX_POINTS = _KEPT_CELLS
 
 
 @dataclass(frozen=True)
@@ -66,22 +64,22 @@ class GridSpec:
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):
             raise ValueError(f"half_width must be > 0, got {self.half_width!r}")
         if not (math.isfinite(self.step) and 0.0 < self.step <= 2.0 * self.half_width):
-            raise ValueError(
-                f"step must be in (0, 2*half_width], got {self.step!r}"
-            )
-        # grid_axis builds a list of this many floats per axis.
-        if not 2.0 * (self.half_width / self.step) + 1.0 <= _MAX_POINTS:
-            raise ValueError(
-                f"point count 2*half_width/step + 1 must be at most {_MAX_POINTS},"
-                f" got half_width={self.half_width!r} and step={self.step!r}"
-            )
+            raise ValueError(f"step must be in (0, 2*half_width], got {self.step!r}")
+        if not _point_count(self) <= _MAX_POINTS:
+            raise ValueError(f"at most {_MAX_POINTS} points a side, got half_width="
+                             f"{self.half_width!r} and step={self.step!r}")
+
+
+def _point_count(spec):
+    """round(2 * half_width / step) + 1, or inf where the ratio overflows."""
+    ratio = 2.0 * (spec.half_width / spec.step)
+    return round(ratio) + 1 if math.isfinite(ratio) else math.inf
 
 
 def grid_axis(spec):
-    """round(2 * half_width / step) + 1 coordinates (i - (count - 1) / 2) * step:
-    the ends are +-(count - 1) * step / 2, each point's mirror is on the axis
-    to the bit, and so is 0.0 where the count is odd."""
-    count = round(2.0 * (spec.half_width / spec.step)) + 1
+    """_point_count(spec) points (i - (count - 1) / 2) * step: each point's
+    mirror is on the axis to the bit, and so is 0.0 where the count is odd."""
+    count = _point_count(spec)
     return [(i - (count - 1) / 2) * spec.step for i in range(count)]
 
 

@@ -210,7 +210,8 @@ class Measure:
 MEASURES = {
     m.tag: m
     for m in (
-        Measure("odds_ratio", "lambda", lambda p, l, x, n: np.exp(2.0 * x)),
+        # 2x in numpy, so that it overflows under _strict for a float x too.
+        Measure("odds_ratio", "lambda", lambda p, l, x, n: np.exp(np.multiply(2.0, x))),
         Measure("yule_q", "Q", lambda p, l, x, n: np.tanh(x)),
         Measure("yule_y", "Y", lambda p, l, x, n: _tanh_half_x(x), _tanh_half_x),
         Measure("d_raw", "D", lambda p, l, x, n: _det_over(l, x, 0.0)),
@@ -261,15 +262,21 @@ class MeasureKind:
     def cli_name(self):
         return self.measure.cli_name
 
-    @_strict
     def on_cells(self, p, l, x):
         """The kernel on cells p, their logs l (each four arrays) and x, broadcast."""
-        return self.measure.cells(p, l, x, self.n)
+        return self._kernel(None, p, l, x)
+
+    def on_coords(self, x, y, z):
+        """The kernel on ``psi_cells`` at (x, y, z), which keeps x as it is."""
+        return self._kernel(psi_cells, x, y, z)
 
     @_strict
-    def on_coords(self, x, y, z):
-        """``on_cells`` of ``psi_cells`` at (x, y, z), which keeps x as it is."""
-        return self.on_cells(*psi_cells(x, y, z))
+    def _kernel(self, producer, *args):
+        """The kernel on producer(*args), or args; its FloatingPointError names the measure."""
+        try:
+            return self.measure.cells(*(producer(*args) if producer else args), self.n)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{self.cli_name}: {exc}") from None
 
 
 def evaluate(kind, t):

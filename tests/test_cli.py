@@ -540,7 +540,7 @@ class TestScan:
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output == "Error: overflow encountered in exp\n"
+        assert result.output == "Error: lambda: overflow encountered in exp\n"
 
     def test_subnormal_pseudocount_values_match_mpmath(self, runner, tmp_path):
         # Zero counts plus a subnormal pseudocount give subnormal cells; Y and
@@ -578,7 +578,7 @@ class TestScan:
         result = runner.invoke(main, args + ["--top", "2"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output == "Error: overflow encountered in exp\n"
+        assert result.output == "Error: lambda: overflow encountered in exp\n"
 
     def test_bad_hs_exponent_exits_2(self, runner, tmp_path):
         path = self.make_input(tmp_path)

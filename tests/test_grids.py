@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,12 +64,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(MeasureKind("corr_r"), odds_ratio, half_width, step)
 
-    def test_point_count_bound_is_the_largest_numpy_index(self):
-        # 2**62 + 1 points pass and 2**63 + 1 do not (the spec is only
-        # built, never walked).
-        GridSpec(MeasureKind("corr_r"), 2.0, 2.0**61, 1.0)
-        with pytest.raises(ValueError, match=str(np.iinfo(np.intp).max)):
-            GridSpec(MeasureKind("corr_r"), 2.0, 2.0**62, 1.0)
+    def test_point_count_bound_is_the_kept_cells(self):
+        # 2**18 points pass and 2**18 + 1 do not (the spec is only built,
+        # never walked): one row fits the cells that grid_blocks keeps.
+        assert grids._MAX_POINTS == grids._KEPT_CELLS == 2**18
+        spec = GridSpec(MeasureKind("corr_r"), 2.0, 131071.5, 1.0)
+        assert len(grid_axis(spec)) == 2**18
+        message = r"at most 262144 points a side, got half_width=131072\.0 and step=1\.0"
+        with pytest.raises(ValueError, match=message):
+            GridSpec(MeasureKind("corr_r"), 2.0, 131072.0, 1.0)
 
 
 # (half_width, step) of grids of odd and even point counts; at half-width
@@ -300,6 +304,46 @@ class TestKernelCells:
         for _ in grid_blocks(spec):
             pass
         assert sum(cells) == want
+
+
+class StopAfter:
+    """A sink that takes the CSV header and some blocks, then stops emit_grid."""
+
+    class Stop(Exception):
+        pass
+
+    def __init__(self, blocks):
+        self.sizes, self.blocks = [], blocks
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        if len(self.sizes) > self.blocks:
+            raise self.Stop
+
+
+class TestMemoryAtTheCap:
+    """A grid at the point cap streams in memory of one row's size."""
+
+    @pytest.mark.parametrize("name", ["HS", "MI"])
+    def test_peak_of_the_first_blocks(self, name, monkeypatch):
+        # At the cap of 2**18 points the first three blocks, one row each,
+        # peak at about 125 MiB (about 500 bytes a point) and take 4 s; the
+        # cap and the kept cells are patched down together to keep it short.
+        cap = 2**14
+        monkeypatch.setattr(grids, "_MAX_POINTS", cap)
+        monkeypatch.setattr(grids, "_KEPT_CELLS", cap)
+        spec = GridSpec(MeasureKind.from_cli(name), 12.9, (cap - 1) / 2, 1.0)
+        sink = StopAfter(3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StopAfter.Stop):
+                emit_grid(spec, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _rows_per_block(cap) == 1 and min(sink.sizes[1:]) > 10 * cap
+        # The whole grid is 2**28 cells; the peak is a few rows' worth.
+        assert peak < 640 * cap, peak
 
 
 # sha256 of the CSV that emit_grid writes for the benchmark's grids

@@ -240,6 +240,32 @@ class TestMeasureKind:
         assert isinstance(result.exception, SystemExit)
         assert result.output == "Error: lambda: overflow encountered in exp\n"
 
+    def test_lambda_overflows_in_both_forms(self):
+        # psi takes this point, and 2x = 1.8e308 is past the largest double:
+        # the one table and the array column each raise, with lambda's name.
+        c = MarginCoords(9.077298877188321e307, 0.0, 400.0)
+        kind = MeasureKind("odds_ratio")
+        assert psi(c).x == c.x
+        message = "^lambda: overflow encountered in multiply$"
+        with pytest.raises(FloatingPointError, match=message):
+            eval_in_coords(kind, c)
+        with pytest.raises(FloatingPointError, match=message):
+            kind.on_coords(*(np.array([v]) for v in (c.x, c.y, c.z)))
+
+    @pytest.mark.parametrize("form", ["on_cells", "on_coords"])
+    def test_a_floating_point_error_names_the_measure_once(self, form):
+        # r at the grid point (1e308, 1e308) of L = 2, where psi_cells
+        # overflows, and lambda where it is 1e600, where the kernel does.
+        if form == "on_coords":
+            kind, args = MeasureKind("corr_r"), (0.5 * math.log(2.0), 1e308, 1e308)
+        else:
+            t = ProbTable(1, 1e-300, 1e-300, 1)
+            kind, args = MeasureKind("odds_ratio"), (t.cells, t.logs, t.x)
+        with pytest.raises(FloatingPointError) as info:
+            getattr(kind, form)(*args)
+        assert str(info.value).startswith(f"{kind.cli_name}: overflow encountered in ")
+        assert str(info.value).count(":") == 1
+
 
     @pytest.mark.parametrize("x", [1e10, -1e10, 1e16, -1e16, 5e307, -5e307])
     def test_determinant_family_on_a_nearly_diagonal_table(self, x):
