@@ -13,9 +13,10 @@ centred on 0, so a grid also equals its point reflection (y, z) -> (-y, -z)
 to the bit.  ``grid_blocks`` uses both: it runs the kernel on about a
 quarter of the cells, copies the others of the first half of the grid from
 their transposes and anti-transposes, and builds each row past the middle
-as its mirror row reversed; ``emit_grid`` writes a mirrored row from its
-mirror row's formatted fields.  ``GridSpec`` accepts at most 2^18 points a
-side, so every grid streams in the memory of a few rows.
+as its mirror row reversed.  ``emit_grid`` copies the formatted value
+fields by the same rule, ``_walk``, so it formats only the cells that the
+kernel computes.  ``GridSpec`` accepts at most 2^18 points a side, so
+every grid streams in the memory of a few rows.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ _BLOCK_CELLS = 4096
 
 # Cells of the grid's first rows that grid_blocks keeps to copy their
 # transposes and mirrors from (2 MB of float64): the first half of the grid up
-# to 724 points a side, fewer rows of a larger one.  emit_grid holds the value
-# fields of an eighth as many cells (about 2 MB of bytes objects).  GridSpec
-# accepts at most _MAX_POINTS points a side, so that one row fits in as many.
+# to 724 points a side, fewer rows of a larger one.  emit_grid keeps the value
+# fields of as many cells (2 MB of pointers, and about 50 bytes a field).
+# GridSpec accepts at most _MAX_POINTS points a side, so that one row fits in
+# as many.
 _KEPT_CELLS = 2**18
 _MAX_POINTS = _KEPT_CELLS
 
@@ -90,36 +92,23 @@ def grid_blocks(spec):
     (len(ys), z count), y-major.  The y and z axes are the same centred list
     and every measure keeps both the transpose (y, z) -> (z, y) and the point
     reflection (y, z) -> (-y, -z), so with n points the value at (i, j) is
-    also the value at (j, i), (n-1-i, n-1-j) and (n-1-j, n-1-i).  The grid's
-    first rows, up to half of them and up to _KEPT_CELLS cells, are kept, and
-    _blocks says what each block copies from them: a row past the middle
-    whose mirror row is kept and in an earlier block is that row reversed,
-    with no kernel call; a computed row copies its columns j < copied
-    transposed and its columns j >= n - copied through the anti-transpose
-    (the transposed copy reversed on both axes), and the kernel runs once
-    on the rest: the computed rows' y values as a column against the z
-    axis between those columns as a row.  The cells of an orbit under these
-    symmetries fail together, and the one in the earliest row of the orbit
-    is computed, so a kernel that fails raises before the first block
-    holding a failing cell is yielded.
+    also the value at (j, i), (n-1-i, n-1-j) and (n-1-j, n-1-i).  _walk
+    copies each cell that an earlier block holds, and the kernel runs once
+    per block on the rest: the computed rows' y values as a column against
+    the z axis between the copied columns as a row.  The cells of an orbit
+    under these symmetries fail together, and the one in the earliest row
+    of the orbit is computed, so a kernel that fails raises before the
+    first block holding a failing cell is yielded.
     """
     x = 0.5 * math.log(spec.odds_ratio)
     axis = grid_axis(spec)
     count = len(axis)
     z = np.array(axis)
-    kept = np.empty((_kept_rows(count), count))
-    for start, stop, copied, mirrored in _blocks(count):
-        block = np.empty((stop - start, count))
-        computed = block[: mirrored - start]
-        if len(computed):
-            computed[:, :copied] = kept[:copied, start:mirrored].T
-            computed[:, count - copied :] = kept[:copied][::-1, ::-1][:, start:mirrored].T
-            computed[:, copied : count - copied] = spec.measure.on_coords(
-                x, z[start:mirrored, np.newaxis], z[copied : count - copied]
-            )
-        block[mirrored - start :] = kept[count - stop : count - mirrored][::-1, ::-1]
-        if start < len(kept):
-            kept[start:stop] = block[: len(kept) - start]
+
+    def kernel(start, mirrored, copied):
+        return spec.measure.on_coords(x, z[start:mirrored, np.newaxis], z[copied : count - copied])
+
+    for start, stop, block in _walk(count, np.float64, kernel):
         yield axis[start:stop], block
 
 
@@ -129,14 +118,13 @@ def emit_grid(spec, sink):
     Every field is the shortest round-trip decimal of its float, spelled as
     ``repr`` spells it, so output is byte-for-byte reproducible for a given
     spec.  One ``repr`` per value would take most of the run, so each block
-    of grid_blocks is formatted as it arrives: its values by one
-    ``orjson.dumps`` call, whose Ryu formatter writes the same digits (see
-    _repr_fields), and the block is written by one ``b"".join``.  A row that
-    grid_blocks mirrors takes the value fields of its mirror row, reversed:
-    the fields of a computed row whose mirror comes in a later block are
-    held, up to _KEPT_CELLS // 8 cells, until the mirror is written, and
-    only the rows without held fields are formatted.  If a kernel fails,
-    the output stops at the end of the last whole block.
+    of grid_blocks is formatted as it arrives, and the block is written by
+    one ``b"".join``.  Its value fields follow the rule of grid_blocks'
+    floats: _walk copies them, as numpy object arrays, from the fields of
+    the grid's first rows, and only the cells the kernel computed are
+    formatted, by one ``orjson.dumps`` call whose Ryu formatter writes the
+    same digits (see _repr_fields).  If a kernel fails, the output stops
+    at the end of the last whole block.
     """
     axis = grid_axis(spec)
     count = len(axis)
@@ -147,56 +135,64 @@ def emit_grid(spec, sink):
     # every block.
     line_parts = [b"\n"] * (3 * count * rows_per_block + 1)
     line_parts[1:-1:3] = [f"{z!r},".encode("ascii") for z in axis] * rows_per_block
-    held_rows = min(_kept_rows(count), _KEPT_CELLS // 8 // count)
-    held = {}  # row -> its value fields, for the mirror row count - 1 - row
 
+    def formatted(start, mirrored, copied):
+        # values is the block of grid_blocks that the loop below has just
+        # taken, before it asks _walk for that block's fields.
+        cells = values[: mirrored - start, copied : count - copied]
+        return np.array(_repr_fields(cells.ravel()), dtype=object).reshape(cells.shape)
+
+    field_blocks = _walk(count, object, formatted)
     sink.write(b"y,z,value\n")
-    for (start, stop, _, mirrored), (ys, values) in zip(_blocks(count), grid_blocks(spec)):
+    for ys, values in grid_blocks(spec):
+        fields = next(field_blocks)[2]
         line_parts[3 * values.size :] = [b"\n"]  # the last block may be shorter
         for row, y in enumerate(ys):
             line = 3 * count * row
             line_parts[line : line + 3 * count : 3] = [f"\n{y!r},".encode("ascii")] * count
         line_parts[0] = line_parts[0][1:]
-        reused = min(stop, max(mirrored, count - held_rows))
-        fields = _repr_fields(values[: reused - start].ravel())
-        line_parts[2 : 3 * len(fields) : 3] = fields
-        # Rows whose mirror is in a later block, within the budget.
-        for row in range(start, min(stop, held_rows, count - stop)):
-            held[row] = fields[(row - start) * count : (row - start + 1) * count]
-        for row in range(reused, stop):
-            line = 3 * count * (row - start)
-            line_parts[line + 2 : line + 3 * count : 3] = held.pop(count - 1 - row)[::-1]
+        line_parts[2:-1:3] = fields[: len(ys)].ravel().tolist()
         sink.write(b"".join(line_parts))
     return count**2
+
+
+def _walk(count, dtype, kernel):
+    """Yield (start, stop, block) for each block of rows of a count x count
+    grid of dtype elements that keeps the transpose and the point
+    reflection: the one place that says which cells are copied.
+
+    A block is _rows_per_block(count) rows.  The grid's first rows are kept,
+    at most half of them, the most that the copies below read, and at most
+    _KEPT_CELLS cells.  copied = min(start, kept rows) kept rows come before
+    a block.  A block row i >= mirrored = count - copied is its mirror row
+    count - 1 - i reversed.  The rows before mirrored copy their columns
+    j < copied transposed and their columns j >= count - copied through the
+    anti-transpose (the transposed copy reversed on both axes), and
+    kernel(start, mirrored, copied) gives the rest, rows start to mirrored
+    and columns copied to count - copied; it is called only for blocks with
+    such rows.
+    """
+    kept = np.empty((min(count // 2, _KEPT_CELLS // count), count), dtype)
+    rows_per_block = _rows_per_block(count)
+    for start in range(0, count, rows_per_block):
+        stop = min(start + rows_per_block, count)
+        copied = min(start, len(kept))
+        mirrored = min(stop, max(start, count - copied))
+        block = np.empty((stop - start, count), dtype)
+        computed = block[: mirrored - start]
+        if len(computed):
+            computed[:, :copied] = kept[:copied, start:mirrored].T
+            computed[:, count - copied :] = kept[:copied][::-1, ::-1][:, start:mirrored].T
+            computed[:, copied : count - copied] = kernel(start, mirrored, copied)
+        block[mirrored - start :] = kept[count - stop : count - mirrored][::-1, ::-1]
+        if start < len(kept):
+            kept[start:stop] = block[: len(kept) - start]
+        yield start, stop, block
 
 
 def _rows_per_block(count):
     """Rows of count cells in one block of grid_blocks and emit_grid."""
     return max(1, _BLOCK_CELLS // count)
-
-
-def _kept_rows(count):
-    """Rows of count cells that grid_blocks keeps: at most half the grid, the
-    most that the mirrored rows and the transposed copies read."""
-    return min(count // 2, _KEPT_CELLS // count)
-
-
-def _blocks(count):
-    """Yield (start, stop, copied, mirrored) of each block of grid_blocks and
-    emit_grid: the one place that says which rows and columns are copied.
-
-    copied = min(start, _kept_rows(count)) rows before the block are kept.
-    The block's rows from mirrored = count - copied on (within the block) are
-    their mirror rows count - 1 - i reversed; the rows before copy their
-    columns j < copied and j >= count - copied, and the kernel computes the
-    rest.
-    """
-    kept = _kept_rows(count)
-    rows_per_block = _rows_per_block(count)
-    for start in range(0, count, rows_per_block):
-        stop = min(start + rows_per_block, count)
-        copied = min(start, kept)
-        yield start, stop, copied, min(stop, max(start, count - copied))
 
 
 def _repr_fields(values):

@@ -147,7 +147,7 @@ def _parse_canonical(raw):
     rows = chars.reshape(-1, width)
     separators = np.full(len(marker_ids), ord("\t"), dtype=np.uint8)
     separators[-1] = ord("\n")
-    data = _BYTE_TOKENS[rows[:, ::2]]
+    data = np.take(_BYTE_TOKENS, rows[:, ::2])
     if (data == _NOT_A_TOKEN).any() or not (rows[:, 1::2] == separators).all():
         return None
     return BinaryMatrix(marker_ids, data)

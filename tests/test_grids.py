@@ -241,7 +241,7 @@ class TestBlocks:
         if request.param == "forty rows kept":
             # 40 of 121 rows kept: in the block of rows 66-98, rows 66-80 are
             # computed and rows 81-98 are rows 39-22 reversed; emit_grid
-            # holds the fields of rows 0-4 only and formats the others.
+            # copies the fields of the same cells.
             monkeypatch.setattr(grids, "_KEPT_CELLS", 40 * 121)
             return 3.0, 0.05, [33, 33, 33, 22]
         # 121 rows in blocks of 33: the last block holds 22.
@@ -282,7 +282,7 @@ class TestKernelCells:
         monkeypatch.setattr(MeasureKind, "on_coords", counted)
         return calls
 
-    @pytest.mark.parametrize(
+    benchmark_grid_cells = pytest.mark.parametrize(
         "kept_cells,want",
         [
             # 120 rows kept: rows 128-240 are mirrored, and the kernel sees
@@ -295,6 +295,8 @@ class TestKernelCells:
             (0, 241 * 241),
         ],
     )
+
+    @benchmark_grid_cells
     @pytest.mark.parametrize("name", ["HS", "MI"])
     def test_cells_of_the_benchmark_grid(self, name, kept_cells, want, cells, monkeypatch):
         if kept_cells is not None:
@@ -304,6 +306,26 @@ class TestKernelCells:
         for _ in grid_blocks(spec):
             pass
         assert sum(cells) == want
+
+    @benchmark_grid_cells
+    @pytest.mark.parametrize("name", ["HS", "MI"])
+    def test_fields_formatted_of_the_benchmark_grid(self, name, kept_cells, want, cells, monkeypatch):
+        # emit_grid formats the values of the kernel's cells and copies the
+        # fields of every other cell, to the same bytes.
+        if kept_cells is not None:
+            monkeypatch.setattr(grids, "_KEPT_CELLS", kept_cells)
+        formatted = []
+        repr_fields = grids._repr_fields
+
+        def counted(values):
+            formatted.append(len(values))
+            return repr_fields(values)
+
+        monkeypatch.setattr(grids, "_repr_fields", counted)
+        spec = GridSpec(MeasureKind.from_cli(name), 40.0, 6.0, 0.05)
+        digest = hashlib.sha256(render(spec)[1]).hexdigest()
+        assert sum(formatted) == sum(cells) == want
+        assert digest == BENCHMARK_GRID_SHA256[name, 40.0]
 
 
 class StopAfter:
