@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import sys
 
 import click
 from click.utils import LazyFile
@@ -78,7 +80,30 @@ def _kinds(names, n):
     return [_checked(MeasureKind.from_cli, name, n) for name in names]
 
 
-@click.group()
+class _Group(click.Group):
+    """A group whose commands end an OSError, such as a full disk while the
+    output is written or closed, in click's ``Error:`` line and exit 1.  A
+    closed pipe stays click's: ``grid | head`` exits quietly."""
+
+    def invoke(self, ctx):
+        try:
+            rv = super().invoke(ctx)
+            # click's close of stdout swallows a failed flush: flush here, so
+            # an output shorter than stdout's buffer fails in the command too.
+            sys.stdout.flush()
+            return rv
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            try:
+                sys.stdout.flush()
+            except OSError:  # stdout failed: drop its bytes, or exit fails again
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Group)
 def main():
     """Association measures and entropy analysis for 2x2 probability tables."""
 

@@ -10,13 +10,13 @@ Each value is the measure's one kernel on the cells, logs and x that
 Transposing the markers swaps y and z and leaves every measure, and the
 kernels keep that to the last bit, so the grid is symmetric.  The axis is
 centred on 0, so a grid also equals its point reflection (y, z) -> (-y, -z)
-to the bit.  ``grid_blocks`` uses both: it runs the kernel on about a
-quarter of the cells, copies the others of the first half of the grid from
-their transposes and anti-transposes, and builds each row past the middle
-as its mirror row reversed.  ``emit_grid`` copies the formatted value
-fields by the same rule, ``_walk``, so it formats only the cells that the
-kernel computes.  ``GridSpec`` accepts at most 2^18 points a side, so
-every grid streams in the memory of a few rows.
+to the bit.  ``_walk``, the one walk over a grid, uses both: it runs the
+kernel on about a quarter of the cells, copies the others of the first half
+of the grid from their transposes and anti-transposes, and builds each row
+past the middle as its mirror row reversed.  ``grid_blocks`` runs it on the
+floats; ``emit_grid`` runs it on formatted value fields, so it formats only
+the cells that the kernel computes.  ``GridSpec`` accepts at most 2^18
+points a side, so every grid streams in the memory of a few rows.
 """
 
 from __future__ import annotations
@@ -27,22 +27,22 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-# eval_in_coords, evaluate and psi are the one-point forms of what grid_blocks
+# eval_in_coords, evaluate and psi are the one-point forms of what _walk
 # computes a block of rows at a time; perfbench/tracing.py wraps them here.
 from .measures import MeasureKind, eval_in_coords, evaluate
 from .tables import psi, real
 
 __all__ = ["GridSpec", "grid_axis", "grid_blocks", "emit_grid"]
 
-# Cells per block: grid_blocks calls the kernel, and emit_grid orjson, once per
+# Cells per block: _walk calls the kernel, and emit_grid orjson, once per
 # block of this many cells (at least one row).  Twice as many saved a few
 # percent of grid time but raised peak memory by about 2 MB more.
 _BLOCK_CELLS = 4096
 
-# Cells of the grid's first rows that grid_blocks keeps to copy their
-# transposes and mirrors from (2 MB of float64): the first half of the grid up
-# to 724 points a side, fewer rows of a larger one.  emit_grid keeps the value
-# fields of as many cells (2 MB of pointers, and about 50 bytes a field).
+# Cells of the grid's first rows that _walk keeps to copy their transposes
+# and mirrors from (2 MB of float64 in grid_blocks; in emit_grid, 2 MB of
+# pointers and about 50 bytes a formatted field): the first half of the grid up
+# to 724 points a side, fewer rows of a larger one.
 # GridSpec accepts at most _MAX_POINTS points a side, so that one row fits in
 # as many.
 _KEPT_CELLS = 2**18
@@ -59,6 +59,8 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        if not isinstance(self.measure, MeasureKind):
+            raise ValueError(f"measure must be a MeasureKind, got {self.measure!r}")
         for name in ("odds_ratio", "half_width", "step"):
             object.__setattr__(self, name, real(getattr(self, name)))
         if not (math.isfinite(self.odds_ratio) and self.odds_ratio > 0.0):
@@ -89,27 +91,10 @@ def grid_blocks(spec):
     """Yield (ys, values) for each block of rows of the grid, in y order.
 
     A block is about _BLOCK_CELLS cells, at least one row; values has shape
-    (len(ys), z count), y-major.  The y and z axes are the same centred list
-    and every measure keeps both the transpose (y, z) -> (z, y) and the point
-    reflection (y, z) -> (-y, -z), so with n points the value at (i, j) is
-    also the value at (j, i), (n-1-i, n-1-j) and (n-1-j, n-1-i).  _walk
-    copies each cell that an earlier block holds, and the kernel runs once
-    per block on the rest: the computed rows' y values as a column against
-    the z axis between the copied columns as a row.  The cells of an orbit
-    under these symmetries fail together, and the one in the earliest row
-    of the orbit is computed, so a kernel that fails raises before the
-    first block holding a failing cell is yielded.
+    (len(ys), z count), y-major.  It is _walk on float64: the kernel's
+    values as they are.
     """
-    x = 0.5 * math.log(spec.odds_ratio)
-    axis = grid_axis(spec)
-    count = len(axis)
-    z = np.array(axis)
-
-    def kernel(start, mirrored, copied):
-        return spec.measure.on_coords(x, z[start:mirrored, np.newaxis], z[copied : count - copied])
-
-    for start, stop, block in _walk(count, np.float64, kernel):
-        yield axis[start:stop], block
+    return _walk(spec, np.float64, lambda values: values)
 
 
 def emit_grid(spec, sink):
@@ -117,14 +102,13 @@ def emit_grid(spec, sink):
 
     Every field is the shortest round-trip decimal of its float, spelled as
     ``repr`` spells it, so output is byte-for-byte reproducible for a given
-    spec.  One ``repr`` per value would take most of the run, so each block
-    of grid_blocks is formatted as it arrives, and the block is written by
-    one ``b"".join``.  Its value fields follow the rule of grid_blocks'
-    floats: _walk copies them, as numpy object arrays, from the fields of
-    the grid's first rows, and only the cells the kernel computed are
-    formatted, by one ``orjson.dumps`` call whose Ryu formatter writes the
-    same digits (see _repr_fields).  If a kernel fails, the output stops
-    at the end of the last whole block.
+    spec.  One ``repr`` per value would take most of the run, so emit_grid
+    runs _walk on numpy object arrays of formatted value fields: only the
+    cells the kernel computes are formatted, by one ``orjson.dumps`` call
+    per block whose Ryu formatter writes the same digits (see _repr_fields),
+    and every other field is copied.  Each block is written by one
+    ``b"".join``.  If a kernel fails, the output stops at the end of the
+    last whole block.
     """
     axis = grid_axis(spec)
     count = len(axis)
@@ -135,43 +119,51 @@ def emit_grid(spec, sink):
     # every block.
     line_parts = [b"\n"] * (3 * count * rows_per_block + 1)
     line_parts[1:-1:3] = [f"{z!r},".encode("ascii") for z in axis] * rows_per_block
-
-    def formatted(start, mirrored, copied):
-        # values is the block of grid_blocks that the loop below has just
-        # taken, before it asks _walk for that block's fields.
-        cells = values[: mirrored - start, copied : count - copied]
-        return np.array(_repr_fields(cells.ravel()), dtype=object).reshape(cells.shape)
-
-    field_blocks = _walk(count, object, formatted)
     sink.write(b"y,z,value\n")
-    for ys, values in grid_blocks(spec):
-        fields = next(field_blocks)[2]
-        line_parts[3 * values.size :] = [b"\n"]  # the last block may be shorter
+    for ys, fields in _walk(spec, object, _field_array):
+        line_parts[3 * fields.size :] = [b"\n"]  # the last block may be shorter
         for row, y in enumerate(ys):
             line = 3 * count * row
             line_parts[line : line + 3 * count : 3] = [f"\n{y!r},".encode("ascii")] * count
         line_parts[0] = line_parts[0][1:]
-        line_parts[2:-1:3] = fields[: len(ys)].ravel().tolist()
+        line_parts[2:-1:3] = fields.ravel().tolist()
         sink.write(b"".join(line_parts))
     return count**2
 
 
-def _walk(count, dtype, kernel):
-    """Yield (start, stop, block) for each block of rows of a count x count
-    grid of dtype elements that keeps the transpose and the point
-    reflection: the one place that says which cells are copied.
+def _field_array(values):
+    """The _repr_fields of a float array, as an object array of its shape."""
+    return np.array(_repr_fields(values.ravel()), dtype=object).reshape(values.shape)
 
-    A block is _rows_per_block(count) rows.  The grid's first rows are kept,
-    at most half of them, the most that the copies below read, and at most
-    _KEPT_CELLS cells.  copied = min(start, kept rows) kept rows come before
-    a block.  A block row i >= mirrored = count - copied is its mirror row
-    count - 1 - i reversed.  The rows before mirrored copy their columns
-    j < copied transposed and their columns j >= count - copied through the
-    anti-transpose (the transposed copy reversed on both axes), and
-    kernel(start, mirrored, copied) gives the rest, rows start to mirrored
-    and columns copied to count - copied; it is called only for blocks with
-    such rows.
+
+def _walk(spec, dtype, finish):
+    """Yield (ys, block) for each block of rows of the grid of spec, as an
+    array of dtype elements: the one walk over a grid, and the one place
+    that calls the kernel and says which cells are copied.
+
+    The y and z axes are the same centred list, and every measure keeps both
+    the transpose (y, z) -> (z, y) and the point reflection (y, z) -> (-y, -z),
+    so with n points the value at (i, j) is also the value at (j, i),
+    (n-1-i, n-1-j) and (n-1-j, n-1-i).  A block is _rows_per_block(n) rows.
+    The grid's first rows are kept, at most half of them, the most that the
+    copies below read, and at most _KEPT_CELLS cells.  copied = min(start,
+    kept rows) kept rows come before a block.  A block row i >= mirrored =
+    n - copied is its mirror row n - 1 - i reversed.  The rows before
+    mirrored copy their columns j < copied transposed and their columns
+    j >= n - copied through the anti-transpose (the transposed copy
+    reversed on both axes).  The kernel runs once per block on the rest,
+    the computed rows' y values as a column against the z axis between the
+    copied columns as a row, its values are broadcast to those cells
+    (lambda, Q, Y and Hdiag read x alone and give one value for a block),
+    and finish turns that float array into the block's elements.  The
+    cells of an orbit under these symmetries fail together, and the one in
+    the earliest row of the orbit is computed, so a kernel that fails
+    raises before the first block holding a failing cell is yielded.
     """
+    x = 0.5 * math.log(spec.odds_ratio)
+    axis = grid_axis(spec)
+    count = len(axis)
+    z = np.array(axis)
     kept = np.empty((min(count // 2, _KEPT_CELLS // count), count), dtype)
     rows_per_block = _rows_per_block(count)
     for start in range(0, count, rows_per_block):
@@ -183,15 +175,17 @@ def _walk(count, dtype, kernel):
         if len(computed):
             computed[:, :copied] = kept[:copied, start:mirrored].T
             computed[:, count - copied :] = kept[:copied][::-1, ::-1][:, start:mirrored].T
-            computed[:, copied : count - copied] = kernel(start, mirrored, copied)
+            values = spec.measure.on_coords(x, z[start:mirrored, np.newaxis], z[copied : count - copied])
+            shape = (mirrored - start, count - 2 * copied)
+            computed[:, copied : count - copied] = finish(np.broadcast_to(values, shape))
         block[mirrored - start :] = kept[count - stop : count - mirrored][::-1, ::-1]
         if start < len(kept):
             kept[start:stop] = block[: len(kept) - start]
-        yield start, stop, block
+        yield axis[start:stop], block
 
 
 def _rows_per_block(count):
-    """Rows of count cells in one block of grid_blocks and emit_grid."""
+    """Rows of count cells in one block of _walk."""
     return max(1, _BLOCK_CELLS // count)
 
 

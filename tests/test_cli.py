@@ -5,12 +5,17 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import twobytwo
 from twobytwo.cli import main, table1_rows
 from twobytwo.critical import critical_points
 from twobytwo.grids import GridSpec, _rows_per_block, grid_axis
@@ -669,3 +674,66 @@ class TestOutputOption:
         assert isinstance(result.exception, SystemExit)
         assert "Could not open file" in result.output
         assert "Traceback" not in result.output
+
+
+def run_cli(args, unbuffered=False, **kwargs):
+    """Run the CLI in a fresh interpreter, on this checkout's package, with
+    stdout block-buffered as by default, or unbuffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(twobytwo.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "twobytwo.cli", *args], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+GRID_ARGS = ["grid", "--measure", "HS", "--odds-ratio", "12.9", "--half-width", "6", "--step", "0.05"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteFailure:
+    """A write that fails (here, to a full device) ends in an ``Error:`` line
+    and exit 1, whether it fails while the command writes or when its output
+    is closed."""
+
+    COMMANDS = {
+        "grid": GRID_ARGS,
+        "small grid": ["grid", "--measure", "Y", "--odds-ratio", "4", "--half-width", "1", "--step", "1"],
+        "table1": ["table1"],
+        "critical": ["critical", "--odds-ratio", "40"],
+        "measure": ["measure", "--table", "0.4,0.1,0.2,0.3", "--measures", "Y,HS"],
+        "scan": ["scan", "{input}", "--measure", "Y"],
+    }
+
+    def check(self, process):
+        stderr = process.communicate()[1].decode()
+        assert process.returncode == 1, stderr
+        assert "Error: [Errno 28] No space left on device" in stderr.splitlines()
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("name", ["grid", "small grid", "table1", "scan"])
+    def test_output_option(self, name, tmp_path):
+        path = TestScan().make_input(tmp_path)
+        args = [a.format(input=path) for a in self.COMMANDS[name]]
+        self.check(run_cli(args + ["-o", "/dev/full"], stdout=subprocess.DEVNULL))
+
+    # Buffered, an output shorter than stdout's buffer fails only when it is
+    # flushed, after the command returns; unbuffered, every write fails.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_stdout(self, name, unbuffered, tmp_path):
+        path = TestScan().make_input(tmp_path)
+        args = [a.format(input=path) for a in self.COMMANDS[name]]
+        with open("/dev/full", "wb") as full:
+            self.check(run_cli(args, unbuffered, stdout=full))
+
+
+def test_closed_pipe_exits_quietly():
+    # grid | head -1: the reader goes after the first line, and grid stops
+    # with no word on stderr.
+    process = run_cli(GRID_ARGS, stdout=subprocess.PIPE)
+    assert process.stdout.readline() == b"y,z,value\n"
+    process.stdout.close()
+    stderr = process.communicate()[1]
+    assert stderr == b""
+    assert process.returncode == 1

@@ -64,6 +64,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(MeasureKind("corr_r"), odds_ratio, half_width, step)
 
+    @pytest.mark.parametrize("measure", ["hs", None, MeasureKind])
+    def test_measure_must_be_a_measure_kind(self, measure):
+        # Refused before emit_grid writes its header.
+        with pytest.raises(ValueError, match="measure must be a MeasureKind"):
+            GridSpec(measure, 2.0, 1.0, 0.5)
+
     def test_point_count_bound_is_the_kept_cells(self):
         # 2**18 points pass and 2**18 + 1 do not (the spec is only built,
         # never walked): one row fits the cells that grid_blocks keeps.
@@ -463,10 +469,15 @@ class TestReprSpelling:
         assert payload == repr_oracle(spec)
 
     def test_non_finite_values_are_written_as_repr(self, monkeypatch):
-        def blocks(spec):
-            yield [0.5], np.array([[math.inf, -math.inf, math.nan, -0.0]])
+        # The 4-point grid is one block, all computed: the kernel's values
+        # are every cell's, in each row.
+        def on_coords(self, x, y, z):
+            assert np.broadcast(y, z).shape == (4, 4)
+            return np.array([math.inf, -math.inf, math.nan, -0.0])
 
-        monkeypatch.setattr(grids, "grid_blocks", blocks)
+        monkeypatch.setattr(MeasureKind, "on_coords", on_coords)
         spec = GridSpec(MeasureKind("corr_r"), 5.0, 1.5, 1.0)
         lines = render(spec)[1].decode("ascii").splitlines()
-        assert lines[1:] == ["0.5,-1.5,inf", "0.5,-0.5,-inf", "0.5,0.5,nan", "0.5,1.5,-0.0"]
+        values = ["inf", "-inf", "nan", "-0.0"]
+        axis = ["-1.5", "-0.5", "0.5", "1.5"]
+        assert lines[1:] == [f"{y},{z},{v}" for y in axis for z, v in zip(axis, values)]
