@@ -75,9 +75,10 @@ def _logaddexp(a, b):
 
 
 def _margins(v, add):
-    """(row0, row1, col0, col1) of the cells v, or of their logs with _logaddexp."""
+    """(row0, col0, col1, row1) of the cells v, or of their logs with _logaddexp,
+    so that ``cell_total`` adds (row0 + row1) + (col0 + col1), as the swaps keep."""
     v00, v01, v10, v11 = v
-    return add(v00, v01), add(v10, v11), add(v00, v10), add(v01, v11)
+    return add(v00, v01), add(v00, v10), add(v01, v11), add(v10, v11)
 
 
 def _log1m_exp_2a(a):
@@ -95,7 +96,7 @@ def _det_over(l, x, log_den):
 
 
 def _d_prime(p, l, x, n):
-    row0, row1, col0, col1 = _margins(l, _logaddexp)
+    row0, col0, col1, row1 = _margins(l, _logaddexp)
     log_d_max = np.where(
         x >= 0.0,
         np.minimum(row0 + col1, col0 + row1),
@@ -105,13 +106,13 @@ def _d_prime(p, l, x, n):
 
 
 def _corr_r(p, l, x, n):
-    row0, row1, col0, col1 = _margins(l, _logaddexp)
+    row0, col0, col1, row1 = _margins(l, _logaddexp)
     return _det_over(l, x, 0.5 * ((row0 + row1) + (col0 + col1)))
 
 
 def _kappa(p, l, x, n):
     # (p00 + p11 - chance) / (1 - chance) = 2D / (row0 col1 + row1 col0).
-    row0, row1, col0, col1 = _margins(l, _logaddexp)
+    row0, col0, col1, row1 = _margins(l, _logaddexp)
     return _det_over(l, x, _logaddexp(row0 + col1, row1 + col0) - _LN2)
 
 

@@ -93,16 +93,13 @@ def load_matrix(source):
     blank lines, spaces around tokens, a header that ``str.splitlines``
     would split, and every malformed input) goes to the line-by-line
     parser, which accepts the same matrices and reports the line and
-    column of the first error.  A byte that is not UTF-8 is reported,
-    with its line and column, before any other error.
+    column of the first error, a byte that is not UTF-8 before any other
+    error.  A text stream raises TypeError.
     """
     raw = source.read()
-    if isinstance(raw, bytes):
-        matrix = _parse_canonical(raw)
-        if matrix is not None:
-            return matrix
-        raw = _decode(raw)
-    return _parse_lines(raw)
+    if not isinstance(raw, bytes):
+        raise TypeError(f"load_matrix needs a binary stream, got {type(raw).__name__} from read()")
+    return _parse_canonical(raw) or _parse_lines(_decode(raw))
 
 
 def _decode(raw):
@@ -158,7 +155,7 @@ def _parse_lines(text):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
-    marker_ids = lines[0].rstrip("\n").split("\t")
+    marker_ids = lines[0].split("\t")
     if len(marker_ids) < 2:
         raise ParseError("need at least 2 markers in the header", 1)
 

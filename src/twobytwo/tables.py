@@ -137,11 +137,15 @@ class MarginCoords:
     z: float
 
     def __post_init__(self):
-        coords = self.__dict__
-        for name in ("x", "y", "z"):
-            if not math.isfinite(value := real(coords[name])):
-                raise ValueError(f"coordinate {name} must be finite, got {coords[name]!r}")
-            coords[name] = value
+        for name in "xyz":
+            self.__dict__[name] = _finite(name, self.__dict__[name])
+
+
+def _finite(name, value):
+    """A coordinate by the rule of ``real``; ValueError unless it is finite."""
+    if math.isfinite(checked := real(value)):
+        return checked
+    raise ValueError(f"coordinate {name} must be finite, got {value!r}")
 
 
 class BoundaryKind(Enum):
@@ -231,16 +235,13 @@ def psi_cells(x, y, z):
 
 
 def _coordinate(name, value):
-    """A coordinate of psi_cells by the rule of ``real``, or an array of them."""
+    """A coordinate of psi_cells by the rule of ``_finite``, or an array of them."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         checked = value.astype(np.float64, copy=False)
-        finite = np.isfinite(checked)
-        if finite.all():
+        if np.isfinite(checked).all():
             return checked
-        value = checked[~finite][0].item()
-    elif math.isfinite(checked := real(value)):
-        return checked
-    raise ValueError(f"coordinate {name} must be finite, got {value!r}")
+        value = checked[~np.isfinite(checked)][0].item()
+    return _finite(name, value)
 
 
 def _psi_cells(x, y, z, maximum, minimum):

@@ -381,10 +381,10 @@ BENCHMARK_GRID_SHA256 = {
     ("HS", 12.9): "d41a4a268709884b571bf25c1ff2d5e56e8f43251de0811452770b96b6e5b7d1",
     ("HS", 40.0): "b05957e7eb5eeff96b754f4cf609f9df5e06c3c95ff31d40ff2b97e5f3b5637c",
     ("HS", 100.0): "fee882cb7d5d789d7f3264ea5860db5adc3839dd9fad7d3eb5bc1bcdfe0f628f",
-    ("MI", 2.0): "b5f7aae8e83f09b06b8fa76cce23a8b4fd5e0b8eeb352b19a46af40a0ad07c00",
-    ("MI", 12.9): "f2b975816c7c2bfee7199330f88c8b8740b3689b175c2493ef1b72702b1bb92b",
-    ("MI", 40.0): "59fd2c03284b70da40fe8365356c8963bcbee2f0c5729dcbd266c410b2040268",
-    ("MI", 100.0): "82f5851da22dc4a68e0e967a98484517db44771dbe874bb67689ebb22b01c39c",
+    ("MI", 2.0): "680606c5ecf0d205a87b0d00bf64d1997decb03819643c801b79a92067d35be2",
+    ("MI", 12.9): "898b2ed3683bc32f66d9b9440ca81fd1cdbbc641bbbad3722caf53c919309f2f",
+    ("MI", 40.0): "c885b8a0a262239d97baf52a027a92ad7672c008dcd605a8dc09b84fc709a216",
+    ("MI", 100.0): "0a1e0b96fb7cbec1f0aa4835501a97f39979af75687e73fecb190a4f5de7bbd3",
 }
 
 

@@ -398,6 +398,21 @@ class TestDocumentedDomain:
             got = kind.on_coords(*coords[:, kept])
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), tag
 
+    def test_mi_is_even_and_smi_odd_under_the_row_and_column_swaps(self):
+        # psi permutes the cells exactly under each symmetry, and MI adds its
+        # margin terms as (row0 + row1) + (col0 + col1), which a swap keeps.
+        rng = np.random.default_rng(29)
+        x, y, z = rng.uniform(-500.0, 500.0, size=(3, 50_000))
+        x[:10_000] = rng.uniform(-1e-6, 1e-6, size=10_000)
+        mi, smi = MeasureKind("mut_inf"), MeasureKind("s_mut_inf")
+        want_mi, want_smi = mi.on_coords(x, y, z), smi.on_coords(x, y, z)
+        # The row swap, the column swap, the transpose and the point reflection.
+        for coords, sign in (((-x, -y, z), -1.0), ((-x, y, -z), -1.0),
+                             ((x, z, y), 1.0), ((x, -y, -z), 1.0)):
+            got_mi, got_smi = mi.on_coords(*coords), smi.on_coords(*coords)
+            assert np.array_equal(got_mi.view(np.int64), want_mi.view(np.int64)), sign
+            assert np.array_equal(got_smi.view(np.int64), (sign * want_smi).view(np.int64)), sign
+
     @given(DOMAIN_COORDS)
     @settings(max_examples=300, deadline=None)
     def test_theta_inverts_psi(self, c):

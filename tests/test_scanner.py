@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -105,6 +106,11 @@ class TestLoadMatrix:
             load_matrix(io.BytesIO(raw))
         assert (err.value.line, err.value.column) == (line, column)
         assert str(err.value).startswith(f"line {line}, column {column}: invalid UTF-8 byte")
+
+    def test_a_text_stream_is_refused(self):
+        message = "load_matrix needs a binary stream, got str from read()"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            load_matrix(io.StringIO(SMALL))
 
 
 def parse_outcome(parse):

@@ -438,6 +438,18 @@ class TestOneTableIsAColumnOfAnArray:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MarginCoords(*coords)
 
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "inf", True, None], ids=repr)
+    def test_margin_coords_and_psi_cells_raise_one_error(self, bad, position):
+        # Both take a coordinate through one check, so they refuse the same
+        # values with the same text.
+        coords = [0.5, -1.0, 2.0]
+        coords[position] = bad
+        message = f"coordinate {'xyz'[position]} must be finite, got {bad!r}"
+        for make in (MarginCoords, psi_cells):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(*coords)
+
 
 class TestTheProducersKeepX:
     """Each producer of a table holds x next to its cells and logs."""
