@@ -80,10 +80,35 @@ def _kinds(names, n):
     return [_checked(MeasureKind.from_cli, name, n) for name in names]
 
 
-class _Group(click.Group):
+class _ParamsOnce:
+    """A command that builds its parameter list once per help-option set.
+
+    click rebuilds the list, and re-runs its duplicate-option check, each
+    time it asks for it: twice per command in every invocation.  The list
+    is fixed once the command is defined, so the first build is kept."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._params_by_help = {}
+
+    def get_params(self, ctx):
+        key = tuple(ctx.help_option_names)
+        params = self._params_by_help.get(key)
+        if params is None:
+            params = self._params_by_help[key] = super().get_params(ctx)
+        return params
+
+
+class _Command(_ParamsOnce, click.Command):
+    """A click command whose parameter list is built once."""
+
+
+class _Group(_ParamsOnce, click.Group):
     """A group whose commands end an OSError, such as a full disk while the
     output is written or closed, in click's ``Error:`` line and exit 1.  A
     closed pipe stays click's: ``grid | head`` exits quietly."""
+
+    command_class = _Command
 
     def invoke(self, ctx):
         try:

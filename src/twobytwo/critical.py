@@ -28,7 +28,12 @@ and ends on adjacent doubles, as bisection does, but in about 12
 evaluations of N where bisection takes 53.  It finds y* and evaluates both
 real branches of W, each on a bracket a few binades wide and on an equation
 that neither overflows nor underflows: w*e^w = v for W0 with v <= e, and
-its logarithm w + ln|w| = ln|v| for W0 with v > e and for W-1.
+its logarithm w + ln|w| = ln|v| for W0 with v > e and for W-1.  Both
+equations are flat at the branch point w = -1, where a wide band of doubles
+passes the sign test, so within 0.037 of it in 1 + e*v both branches sum
+the series W = -1 + p - p^2/3 + (11/72) p^3 - ... in p = +-sqrt(2 (1 + e*v))
+instead (eq. (4.22) of Corless, Gonnet, Hare, Jeffrey & Knuth, "On the
+Lambert W function", Adv. Comput. Math. 5 (1996) 329-359).
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ __all__ = [
 ]
 
 _INV_E = math.exp(-1.0)
+# 1/e = _INV_E + _INV_E_LO to twice the precision of a double.  Near -1/e,
+# v + _INV_E is exact (Sterbenz), so e*((v + _INV_E) + _INV_E_LO) is 1 + e*v
+# to rounding, though v and -1/e agree in nearly all their digits.
+_INV_E_LO = -1.2428753672788363e-17  # 1/e - _INV_E, by mpmath at 50 digits
 # N0(x) = 1 - x + e^-x vanishes at the magic x = 1 + W0(1/e), where the
 # rounding of e^-x alone would swamp it.  With d = _X0 - x, exact near the
 # magic x, N0(x) = N0(_X0) + d + e^-_X0 expm1(d), and N0(_X0) is a constant.
@@ -65,6 +74,27 @@ _SERIES_TERMS = tuple((m, math.factorial(m)) for m in (11, 9, 7, 5, 3))
 # Past this x, N(0) + _rise(x, y) cancels near y = x (see the module docstring).
 _FAR_X = 12.0
 _ENTROPY = MeasureKind("entropy")
+
+
+def _branch_point_series(terms):
+    """mu_0, ..., mu_terms of W = sum mu_k p^k, p = +-sqrt(2 (1 + e*v)).
+
+    The recurrence of eqs. (4.23)-(4.24) of Corless et al. (1996), in
+    doubles: each mu_k is within 2 ulps of its exact rational value."""
+    mu, alpha = [-1.0, 1.0], [2.0, -1.0]
+    for k in range(2, terms + 1):
+        alpha.append(sum(mu[j] * mu[k + 1 - j] for j in range(2, k)))
+        mu.append((k - 1) / (k + 1) * (mu[k - 2] / 2 + alpha[k - 2] / 4)
+                  - alpha[k] / 2 - mu[k - 1] / (k + 1))
+    return mu
+
+
+# W sums the series to p^20 where the first term it drops, mu_21 p^21, is at
+# most eps/4 (|W| > 0.7 there): for |p| up to 0.273, 1 + e*v up to 0.037.
+_BRANCH_TERMS = 20
+*_MU, _MU_DROPPED = _branch_point_series(_BRANCH_TERMS + 1)
+_BRANCH_MAX_P = (2.0 ** -54 / abs(_MU_DROPPED)) ** (1.0 / (_BRANCH_TERMS + 1))
+_BRANCH_HORNER = tuple(reversed(_MU[1:]))
 
 
 class DomainError(ValueError):
@@ -103,14 +133,37 @@ def _root(f, lo, hi):
     return hi
 
 
+def _near_branch_point(v, sign, domain):
+    """W(v) by the series about -1/e, with p = sign*sqrt(2 (1 + e*v)): sign 1
+    gives W0 and -1 gives W-1.  None where 1 + e*v is past the series' reach.
+
+    An argument below -1/e by at most 1e-12 in 1 + e*v is -1/e moved by
+    rounding, and gives -1.0: the two branches are a complex pair there, with
+    real part -1 - (2/3)(1 + e*v) + ..., so -1.0 is within 7e-13 of it.
+    Further below is a DomainError.
+    """
+    one_plus_ev = math.e * ((v + _INV_E) + _INV_E_LO)
+    if one_plus_ev < 0.0:
+        if one_plus_ev >= -1e-12:
+            return -1.0
+        raise DomainError(f"{domain}, got {v!r}")
+    p = sign * math.sqrt(2.0 * one_plus_ev)
+    if abs(p) > _BRANCH_MAX_P:
+        return None
+    s = 0.0
+    for mu in _BRANCH_HORNER:
+        s = s * p + mu
+    return -1.0 + p * s
+
+
 def lambert_w0(v):
     """Principal real branch of Lambert's W (inverse of w*e^w), v >= -1/e."""
     if not math.isfinite(v := real(v)):
         raise DomainError(f"lambert_w0 needs a finite argument, got {v!r}")
-    if v <= -_INV_E:
-        if v > -_INV_E * (1.0 + 1e-12):
-            return -1.0
-        raise DomainError(f"lambert_w0 domain is [-1/e, inf), got {v!r}")
+    if v < 0.0:
+        w = _near_branch_point(v, 1.0, "lambert_w0 domain is [-1/e, inf)")
+        if w is not None:
+            return w
     if v == 0.0:
         return 0.0
     if v > math.e:
@@ -126,10 +179,9 @@ def lambert_w_minus1(v):
     """Lower real branch of Lambert's W, defined for v in [-1/e, 0)."""
     if not math.isfinite(v := real(v)) or v >= 0.0:
         raise DomainError(f"lambert_w_minus1 domain is [-1/e, 0), got {v!r}")
-    if v <= -_INV_E:
-        if v > -_INV_E * (1.0 + 1e-12):
-            return -1.0
-        raise DomainError(f"lambert_w_minus1 domain is [-1/e, 0), got {v!r}")
+    w = _near_branch_point(v, -1.0, "lambert_w_minus1 domain is [-1/e, 0)")
+    if w is not None:
+        return w
     # In logarithms, w + ln(-w) = ln(-v), rising in w on [2 ln(-v) - 1, -1].
     log_v = math.log(-v)
     return _root(lambda w: w + math.log(-w) - log_v, 2.0 * log_v - 1.0, -1.0)

@@ -10,13 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import twobytwo
-from twobytwo.cli import main, table1_rows
+from twobytwo.cli import _Group, _ParamsOnce, main, table1_rows
 from twobytwo.critical import critical_points
 from twobytwo.grids import GridSpec, _rows_per_block, grid_axis
 from twobytwo.measures import DEFAULT_HS_N, MEASURES, MeasureKind
@@ -737,3 +738,70 @@ def test_closed_pipe_exits_quietly():
     stderr = process.communicate()[1]
     assert stderr == b""
     assert process.returncode == 1
+
+
+# One in-process invocation of each command, with its stdin.
+INVOCATIONS = {
+    "measure": (["measure", "--table", "0.4,0.1,0.2,0.3", "--measures", "Y,HS"], None),
+    "grid": (["grid", "--measure", "Y", "--odds-ratio", "4", "--half-width", "1", "--step", "1"], None),
+    "critical": (["critical", "--odds-ratio", "40"], None),
+    "scan": (["scan", "-", "--measure", "Y"], "a\tb\n0\t1\n1\t0\n1\t1\n"),
+    "table1": (["table1"], None),
+}
+
+
+class TestParamsOnce:
+    """Each command builds click's parameter list once and keeps it."""
+
+    COMMANDS = [main, *main.commands.values()]
+
+    @pytest.mark.parametrize("help_names", [["--help"], ["-h", "--help"], []], ids=str)
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.name)
+    def test_the_kept_list_is_clicks_own(self, command, help_names):
+        ctx = click.Context(command, help_option_names=help_names)
+        want = click.Command.get_params(command, ctx)
+        for _ in range(2):
+            got = command.get_params(ctx)
+            assert [id(p) for p in got] == [id(p) for p in want]
+        if help_names:
+            assert got[-1] is command.get_help_option(ctx)
+        else:
+            assert all(p.name != "help" for p in got)
+
+    @pytest.mark.parametrize("name", INVOCATIONS)
+    def test_a_second_invocation_builds_no_list(self, runner, monkeypatch, name):
+        args, stdin = INVOCATIONS[name]
+        first = runner.invoke(main, args, input=stdin)
+        assert first.exit_code == 0, first.output
+        builds = []
+        build = click.Command.get_params
+
+        def counted(self, ctx):
+            builds.append(self.name)
+            return build(self, ctx)
+
+        monkeypatch.setattr(click.Command, "get_params", counted)
+        second = runner.invoke(main, args, input=stdin)
+        assert second.exit_code == 0, second.output
+        assert second.stdout_bytes == first.stdout_bytes
+        assert builds == []
+
+    def test_clicks_duplicate_option_warning_still_fires(self, runner):
+        group = _Group()
+
+        @group.command()
+        @click.option("--a")
+        @click.option("--a", "b")
+        def dup(a, b):
+            pass
+
+        with pytest.warns(UserWarning, match="--a is used more than once"):
+            runner.invoke(group, ["dup"])
+
+    @pytest.mark.parametrize("args", [[], *([name] for name in main.commands)], ids=str)
+    def test_help_is_the_same_without_the_memo(self, runner, monkeypatch, args):
+        kept = runner.invoke(main, [*args, "--help"])
+        monkeypatch.delattr(_ParamsOnce, "get_params")
+        built = runner.invoke(main, [*args, "--help"])
+        assert kept.exit_code == built.exit_code == 0
+        assert kept.stdout_bytes == built.stdout_bytes

@@ -28,6 +28,7 @@ from twobytwo import critical
 scipy_special = pytest.importorskip("scipy.special")
 
 INV_E = math.exp(-1.0)
+EPS = sys.float_info.epsilon
 
 
 def w_residual(w, v):
@@ -85,6 +86,39 @@ class TestLambertW:
     def test_branches_meet_at_branch_point(self):
         v = -INV_E * (1.0 - 1e-15)
         assert lambert_w0(v) == pytest.approx(lambert_w_minus1(v), abs=1e-7)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_both_branches_match_mpmath_near_the_branch_point(self, k):
+        # 1 + e*v = 10^-k; the double v's own W, at 50 digits.
+        mpmath = pytest.importorskip("mpmath")
+        v = -INV_E * (1.0 - 10.0**-k)
+        with mpmath.workdps(50):
+            for w, branch in ((lambert_w0, 0), (lambert_w_minus1, -1)):
+                want = mpmath.lambertw(mpmath.mpf(v), branch).real
+                assert abs((w(v) - want) / want) <= 2 * EPS, (k, branch)
+
+    def test_both_branches_match_mpmath_across_the_series_reach(self):
+        # 1 + e*v log-uniform on [1e-16, 0.3]: the series up to 0.037, the
+        # root-finder past it.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(4022)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for d in np.exp(rng.uniform(math.log(1e-16), math.log(0.3), 300)):
+                v = -INV_E * (1.0 - float(d))
+                for w, branch in ((lambert_w0, 0), (lambert_w_minus1, -1)):
+                    want = mpmath.lambertw(mpmath.mpf(v), branch).real
+                    worst = max(worst, float(abs((w(v) - want) / want)))
+        assert worst <= 4 * EPS
+
+    def test_just_below_the_branch_point(self):
+        # Within 1e-12 below -1/e, both branches give -1.0, the real part of
+        # their complex pair there to 7e-13; further below is a DomainError.
+        for w in (lambert_w0, lambert_w_minus1):
+            assert w(-INV_E) == -1.0
+            assert w(-INV_E * (1.0 + 1e-13)) == -1.0
+            with pytest.raises(DomainError):
+                w(-INV_E * (1.0 + 1e-11))
 
     def test_principal_branch_at_the_largest_double(self):
         ref = float(scipy_special.lambertw(sys.float_info.max, 0).real)
@@ -178,7 +212,8 @@ class TestRoot:
     @pytest.mark.parametrize(
         "w, v",
         [(lambert_w0, v) for v in (5e-324, 0.1, INV_E, 2.0, math.e, 1e3, sys.float_info.max)]
-        + [(lambert_w_minus1, v) for v in (-5e-324, -1e-5, -0.3, -INV_E * (1.0 - 1e-9))],
+        # Within 0.037 of the branch point in 1 + e*v, W is the series, not a root.
+        + [(lambert_w_minus1, v) for v in (-5e-324, -1e-5, -0.3, -INV_E * (1.0 - 0.1))],
     )
     def test_lambert_w_changes_sign_at_its_value(self, monkeypatch, w, v):
         solves = recorded_solves(monkeypatch)
