@@ -3,7 +3,11 @@
 Reads a samples-by-markers 0/1 matrix (TSV, NA for missing), builds the
 2x2 count table of every marker pair over pairwise-complete samples,
 converts counts to probability tables with an additive pseudocount, and
-ranks pairs by the absolute value of a chosen measure.
+ranks pairs by the absolute value of a chosen measure.  ``scan`` runs four
+stages in order: ``_grams`` holds three m x m products (a fourth array is a
+transposed view), ``_keys`` one float64 key per pair from cache-sized tiles,
+``_top`` sorts the top_k pairs, ties included, and ``_results`` evaluates
+every measure on those alone.
 """
 
 from __future__ import annotations
@@ -59,10 +63,21 @@ class ParseError(ValueError):
 
 @dataclass
 class BinaryMatrix:
-    """Samples-by-markers matrix of {0, 1, missing(-1)} entries."""
+    """Samples-by-markers matrix of {0, 1, missing(-1)} integers (or bools), one
+    marker id per column; ValueError otherwise."""
 
     marker_ids: list[str]
     data: np.ndarray  # shape (n_samples, n_markers), dtype int8
+
+    def __post_init__(self):
+        data = self.data
+        if not isinstance(data, np.ndarray) or data.ndim != 2 or data.dtype.kind not in "biu":
+            raise ValueError("data must be a 2-d ndarray of integers, got "
+                             f"{np.ndim(data)}-d {getattr(data, 'dtype', type(data).__name__)}")
+        if data.size and not (_MISSING <= data.min() and data.max() <= 1):
+            raise ValueError("data entries must be -1 (missing), 0 or 1")
+        if len(self.marker_ids) != data.shape[1]:
+            raise ValueError(f"{len(self.marker_ids)} marker ids for {data.shape[1]} columns")
 
     @property
     def n_samples(self):
@@ -226,18 +241,8 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """Evaluate all marker pairs and return the top_k by |rank_by| value.
 
     The arguments (top_k an integer >= 1, pseudocount a finite real >= 0)
-    and the table of the first pair are checked before any work.  The counts
-    of every pair come from three matrix products, in float32 when
-    n_samples <= 2**24, where its integer sums are exact, and in float64
-    above.  Pairs (i, j), j > i, are numbered in ``np.triu_indices`` order
-    and walked in tiles of about ``_TILE_PAIRS`` pairs, whole rows of
-    markers each: a tile gathers its counts, adds the pseudocount and
-    evaluates rank_by on its cells and logs, and only -|value| of each pair
-    is kept.  The pairs whose |value| is at least the top_k-th largest,
-    every tie included, are sorted on (-|value|, id_a, id_b); the top_k
-    get their counts gathered again and every measure evaluated on them
-    alone, so a measure that would fail only on a pair outside them does
-    not fail the scan.  ``jobs`` is ignored; it is kept for compatibility.
+    and the table of the first pair are checked before the stages _grams,
+    _keys, _top and _results run.  ``jobs`` is ignored, kept for compatibility.
     """
     if rank_by not in measures:
         raise ValueError("rank_by must be one of the requested measures")
@@ -250,55 +255,79 @@ def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     n_markers = matrix.n_markers
     if n_markers < 2:
         return []
+    _table_or_raise(ids, 0, 1, count_pair(matrix, 0, 1), pseudocount)
+    grams = _grams(matrix)
+    # row_start[i] is the number of the pair (i, i + 1), the first of row i.
+    row_start = np.cumsum(np.arange(n_markers, 0, -1)) - n_markers
+    key = _keys(grams, row_start, ids, rank_by, pseudocount)
+    top_a, top_b = _top(key, row_start, ids, top_k)
+    return _results(grams, top_a, top_b, ids, measures, pseudocount)
 
-    def table_or_raise(i, j, counts):
-        # counts_to_table decides which pairs have a table.
-        try:
-            counts_to_table(tuple(int(c) for c in counts), pseudocount)
-        except DegenerateTable as exc:
-            raise DegenerateTable(f"pair ({ids[i]}, {ids[j]}): {exc}") from exc
 
-    table_or_raise(0, 1, count_pair(matrix, 0, 1))
+def _table_or_raise(ids, i, j, counts, pseudocount):
+    """Check that the pair (i, j) has a table; counts_to_table decides which
+    pairs have one, and its DegenerateTable is raised naming the pair."""
+    try:
+        counts_to_table(tuple(int(c) for c in counts), pseudocount)
+    except DegenerateTable as exc:
+        raise DegenerateTable(f"pair ({ids[i]}, {ids[j]}): {exc}") from exc
 
+
+def _pairs(row_start, k):
+    """(i, j) of the pairs numbered k, j > i, in ``np.triu_indices`` order."""
+    i = np.searchsorted(row_start, k, side="right") - 1
+    return i, k - row_start[i] + i + 1
+
+
+def _grams(matrix):
+    """The three m x m products, in float32 up to 2**24 samples (its integer
+    sums are exact there) and float64 above, as four arrays: at [i, j], n,
+    n11, n10 + n11 and n01 + n11 of the pair (i, j), the fourth a transposed
+    view of the third.  The 0/1 copies of the data die with this frame."""
     dtype = np.float32 if matrix.n_samples <= _FLOAT32_SAMPLES else np.float64
     seen = (matrix.data != _MISSING).astype(dtype)
     ones = (matrix.data == 1).astype(dtype)
     ones_seen = ones.T @ seen
-    # At [i, j]: n, n11, n10 + n11 and n01 + n11 of the pair (i, j), as
-    # (seen.T @ ones)[i, j] is (ones.T @ seen)[j, i].
-    grams = seen.T @ seen, ones.T @ ones, ones_seen, ones_seen.T
-    del seen, ones  # freed before the array of one float per pair
-    # row_start[i] is the number of the pair (i, i + 1), the first of row i.
-    row_start = np.cumsum(np.arange(n_markers, 0, -1)) - n_markers
-    n_pairs = int(row_start[-1])
+    return seen.T @ seen, ones.T @ ones, ones_seen, ones_seen.T
 
-    def pairs(k):
-        """(i, j) of the pairs numbered k."""
-        i = np.searchsorted(row_start, k, side="right") - 1
-        return i, k - row_start[i] + i + 1
 
-    key = np.empty(n_pairs)
+def _keys(grams, row_start, ids, rank_by, pseudocount):
+    """-|rank_by value| of every pair, one float64 each, in pair order, from
+    tiles of about _TILE_PAIRS pairs, whole rows of markers each, at least
+    one: a tile gathers its counts from the grams, adds the pseudocount and
+    evaluates rank_by on its cells and logs, so its arrays stay in cache.
+    The first pair with a zero cell, in pair order, raises DegenerateTable."""
+    n_markers = len(row_start)
+    key = np.empty(int(row_start[-1]))
     row = 0
     while row < n_markers - 1:
         lo = row_start[row]
-        # Whole rows, as many as fit in _TILE_PAIRS pairs, at least one.
         stop = max(row + 1, np.searchsorted(row_start, lo + _TILE_PAIRS, side="right") - 1)
         upper = np.arange(n_markers) > np.arange(row, stop)[:, None]
         counts = _counts(*(g[row:stop][upper] for g in grams))
         cells = np.add(counts, pseudocount, dtype=np.float64)
-        # The first pair with a zero cell, in pair order.
         for k in np.flatnonzero((cells <= 0.0).any(axis=0))[:1].tolist():
-            table_or_raise(*pairs(lo + k), counts[:, k])
+            _table_or_raise(ids, *_pairs(row_start, lo + k), counts[:, k], pseudocount)
         rank_values = rank_by.on_cells(*cells_and_logs(cells))
         np.negative(np.abs(rank_values), out=key[lo : row_start[stop]])
         row = stop
+    return key
 
-    kth = min(top_k, n_pairs) - 1
+
+def _top(key, row_start, ids, top_k):
+    """(i, j) of the top_k pairs by key: the pairs whose key is at most the
+    top_k-th smallest, every tie included, sorted on (key, id_a, id_b)."""
+    kth = min(top_k, key.size) - 1
     candidates = np.flatnonzero(key <= np.partition(key, kth)[kth])
     _, id_rank = np.unique(ids, return_inverse=True)
-    a, b = (id_rank[v] for v in pairs(candidates))
-    top_a, top_b = pairs(candidates[np.lexsort((b, a, key[candidates]))[:top_k]])
+    a, b = (id_rank[v] for v in _pairs(row_start, candidates))
+    return _pairs(row_start, candidates[np.lexsort((b, a, key[candidates]))[:top_k]])
 
+
+def _results(grams, top_a, top_b, ids, measures, pseudocount):
+    """PairResults of the pairs (top_a, top_b): their counts gathered again and
+    every measure evaluated on them alone, so a measure that would fail
+    only on a pair outside them does not fail the scan."""
     counts = _counts(*(g[top_a, top_b] for g in grams))
     top = cells_and_logs(np.add(counts, pseudocount, dtype=np.float64))
     values = {kind: kind.on_cells(*top) for kind in measures}

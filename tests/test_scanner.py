@@ -197,6 +197,42 @@ class TestParserEquivalence:
         assert_parsers_agree(b"a\tb\tc\n" + body[:at] + glitch + body[at + width :])
 
 
+class TestBinaryMatrix:
+    @pytest.mark.parametrize(
+        "ids,data,message",
+        [
+            # Unchecked, too few ids ended scan in a bare IndexError and extra ids were dropped.
+            (["a", "b"], np.zeros((2, 3), np.int8), "2 marker ids for 3 columns"),
+            (["a", "b", "c", "d"], np.zeros((2, 3), np.int8), "4 marker ids for 3 columns"),
+            (["a", "b"], np.zeros(2, np.int8), "got 1-d int8"),
+            (["a", "b"], np.zeros((2, 2)), "got 2-d float64"),
+            (["a", "b"], [[0, 1], [1, 0]], "got 2-d list"),
+            # Unchecked, scan counted (a, b) as (1, 0, 1, 1) and count_pair as (0, 1, 1, 1).
+            (["a", "b", "c"], np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]]), "-1 (missing), 0 or 1"),
+            (["a", "b"], np.array([[0, -2], [1, 0]], np.int8), "-1 (missing), 0 or 1"),
+        ],
+        ids=["fewer ids", "more ids", "1-d", "float", "list", "entry 2", "entry -2"],
+    )
+    def test_rejected(self, ids, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BinaryMatrix(ids, data)
+
+    def test_empty_matrix(self):
+        # The min/max check is skipped: a zero-size reduction would raise.
+        header_only = matrix_from("a\tb\n")
+        assert header_only.data.shape == (0, 2)
+        assert BinaryMatrix([], np.empty((3, 0), np.int8)).n_markers == 0
+        kind = MeasureKind("yule_y")
+        assert [r.counts for r in scan(header_only, [kind], kind, 1)] == [(0, 0, 0, 0)]
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_any_integer_or_bool_dtype(self, dtype):
+        m = matrix_from(random_matrix(40, 5, seed=8))
+        other = BinaryMatrix(m.marker_ids, m.data.astype(dtype))
+        kind = MeasureKind("hs")
+        assert scan(other, [kind], kind, 10) == scan(m, [kind], kind, 10)
+
+
 class TestCountPair:
     def test_counts_with_pairwise_deletion(self):
         m = matrix_from(SMALL)
@@ -626,7 +662,7 @@ class TestTiles:
         ids = [f"m{k}" for k in range(12)]
         m = matrix_from("\n".join(["\t".join(ids)] + ["\t".join(row) for row in data]))
         kinds = [MeasureKind.from_cli(name) for name in CLI_NAMES]
-        for rank_by in (kinds[0], kinds[-1]):
+        for rank_by in kinds:
             got = scan(m, kinds, rank_by, top_k=66, pseudocount=pseudocount)
             assert got == scan_with_default_tiles(
                 monkeypatch, m, kinds, rank_by, top_k=66, pseudocount=pseudocount
