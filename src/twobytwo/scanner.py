@@ -61,10 +61,11 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryMatrix:
     """Samples-by-markers matrix of {0, 1, missing(-1)} integers (or bools), one
-    marker id per column; ValueError otherwise."""
+    marker id per column; ValueError otherwise.  Frozen, so the check holds for
+    its fields; writes into the data array in place are not checked."""
 
     marker_ids: list[str]
     data: np.ndarray  # shape (n_samples, n_markers), dtype int8

@@ -610,6 +610,13 @@ class TestScan:
         assert message in result.output
         assert "Traceback" not in result.output
 
+    def test_stdin_reads_the_same_bytes_as_a_path(self, runner, tmp_path):
+        path = self.make_input(tmp_path)
+        from_path = runner.invoke(main, ["scan", str(path), "--measure", "Y"])
+        from_stdin = runner.invoke(main, ["scan", "-", "--measure", "Y"], input=path.read_bytes())
+        assert from_path.exit_code == from_stdin.exit_code == 0, from_stdin.output
+        assert from_stdin.stdout_bytes == from_path.stdout_bytes
+
     def test_jobs_flag_matches_serial(self, runner, tmp_path):
         path = self.make_input(tmp_path, n_markers=8)
         serial = runner.invoke(main, ["scan", str(path), "--measure", "HS"])
@@ -798,6 +805,17 @@ class TestParamsOnce:
         with pytest.warns(UserWarning, match="--a is used more than once"):
             runner.invoke(group, ["dup"])
 
+    # Lines that each help lists: the group's, its five commands; each
+    # command's, one of its own options.
+    HELP_LINES = {
+        (): ("\n  measure ", "\n  grid ", "\n  critical ", "\n  scan ", "\n  table1 "),
+        ("measure",): ("\n  --measures ",),
+        ("grid",): ("\n  --half-width ",),
+        ("critical",): ("\n  --odds-ratio ",),
+        ("scan",): ("\n  --rank-by ",),
+        ("table1",): ("\n  -o, --output ",),
+    }
+
     @pytest.mark.parametrize("args", [[], *([name] for name in main.commands)], ids=str)
     def test_help_is_the_same_without_the_memo(self, runner, monkeypatch, args):
         kept = runner.invoke(main, [*args, "--help"])
@@ -805,3 +823,5 @@ class TestParamsOnce:
         built = runner.invoke(main, [*args, "--help"])
         assert kept.exit_code == built.exit_code == 0
         assert kept.stdout_bytes == built.stdout_bytes
+        for line in self.HELP_LINES[tuple(args)]:
+            assert line in kept.output

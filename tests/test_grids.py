@@ -120,14 +120,27 @@ class TestAxis:
             reflected = values[::-1, ::-1]
             assert np.array_equal(values.view(np.int64), reflected.view(np.int64)), spec
 
+    def test_emitted_grid_past_the_kept_rows_equals_its_point_reflection(self):
+        # At 727 points a side _walk keeps 360 rows, fewer than half: the
+        # middle rows 360-366 are computed, and the rows after them copied
+        # from their mirror rows.
+        spec = GridSpec(MeasureKind("hs", 4.0), 12.9, 3.63, 0.01)
+        count = len(grid_axis(spec))
+        assert count == 727 and grids._KEPT_CELLS // count < count // 2
+        values = [line.rpartition(b",")[2] for line in render(spec)[1].splitlines()[1:]]
+        assert len(values) == count**2
+        assert values == values[::-1]
+
 
 class TestEmitGrid:
     def test_row_count_is_axis_squared(self):
-        spec = GridSpec(MeasureKind("yule_y"), 5.0, 3.0, 0.25)
-        n = int(round(2 * 3.0 / 0.25)) + 1
-        rows, payload = render(spec)
-        assert rows == n * n
-        assert len(payload.splitlines()) == rows + 1
+        # The second is the benchmark's shape: 241 points a side.
+        for spec in (GridSpec(MeasureKind("yule_y"), 5.0, 3.0, 0.25),
+                     GridSpec(MeasureKind("corr_r"), 40.0, 6.0, 0.05)):
+            n = int(round(2 * spec.half_width / spec.step)) + 1
+            rows, payload = render(spec)
+            assert rows == n * n
+            assert len(payload.splitlines()) == rows + 1
 
     def test_byte_identical_determinism(self):
         spec = GridSpec(MeasureKind("hs", 4.0), 40.0, 2.0, 0.5)
@@ -139,6 +152,10 @@ class TestEmitGrid:
         want = math.tanh(0.25 * math.log(lam))
         for value in parse(render(spec)[1]).values():
             assert value == pytest.approx(want, abs=1e-15)
+        # Y reads the x of the plane: x of the rounded logs at |y|, |z| of
+        # 1e15 would differ from cell to cell.
+        payload = render(GridSpec(MeasureKind("yule_y"), 2.0, 1e15, 1e15))[1]
+        assert len({line.split(b",")[2] for line in payload.splitlines()[1:]}) == 1
 
     def test_corr_r_peaks_at_origin(self):
         spec = GridSpec(MeasureKind("corr_r"), 40.0, 4.0, 0.25)

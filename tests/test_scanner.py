@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -231,6 +232,16 @@ class TestBinaryMatrix:
         other = BinaryMatrix(m.marker_ids, m.data.astype(dtype))
         kind = MeasureKind("hs")
         assert scan(other, [kind], kind, 10) == scan(m, [kind], kind, 10)
+
+    def test_fields_cannot_be_assigned(self):
+        # The check runs at construction; assigned after it, an entry of 2
+        # made scan and count_pair disagree, and two ids for three columns
+        # ended scan in a bare IndexError.
+        m = BinaryMatrix(["a", "b", "c"], np.zeros((3, 3), np.int8))
+        for name, value in [("data", np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]])),
+                            ("marker_ids", ["a", "b"])]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, value)
 
 
 class TestCountPair:
