@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import math
 import os
+import stat
 import sys
 
 import click
@@ -168,7 +169,9 @@ def grid(measure_name, odds_ratio, half_width, step, n, output):
     except ArithmeticError as exc:
         if isinstance(output, LazyFile):  # a file, not stdout: leave no partial CSV
             output.close()
-            os.remove(output.name)
+            # Only a regular file: not a device such as /dev/null, nor a symlink.
+            if stat.S_ISREG(os.lstat(output.name).st_mode):
+                os.remove(output.name)
         raise click.ClickException(str(exc)) from None
 
 

@@ -207,10 +207,8 @@ def count_pair(matrix, i, j):
     if i == j:
         raise ValueError(f"need two distinct markers, got {i!r} twice")
     a, b = matrix.data[:, i], matrix.data[:, j]
-    ok = (a != _MISSING) & (b != _MISSING)
-    a, b = a[ok], b[ok]
-    n11, n1_, n_1 = (np.count_nonzero(v) for v in (a & b, a, b))
-    return tuple(_counts(a.size, n11, n1_, n_1).tolist())
+    # A missing -1 matches neither 0 nor 1, so its sample is in no cell.
+    return tuple(int(np.count_nonzero((a == u) & (b == v))) for u in (0, 1) for v in (0, 1))
 
 
 def _float_pseudocount(pseudocount):
@@ -282,14 +280,14 @@ def _pairs(row_start, k):
 
 def _grams(matrix):
     """The three m x m products, in float32 up to 2**24 samples (its integer
-    sums are exact there) and float64 above, as four arrays: at [i, j], n,
-    n11, n10 + n11 and n01 + n11 of the pair (i, j), the fourth a transposed
-    view of the third.  The 0/1 copies of the data die with this frame."""
+    sums are exact there) and float64 above, as four arrays: at [i, j] the
+    cells n00, n01, n10 and n11 of the pair (i, j), the third a transposed
+    view of the second.  The 0/1 copies of the data die with this frame."""
     dtype = np.float32 if matrix.n_samples <= _FLOAT32_SAMPLES else np.float64
-    seen = (matrix.data != _MISSING).astype(dtype)
+    zeros = (matrix.data == 0).astype(dtype)
     ones = (matrix.data == 1).astype(dtype)
-    ones_seen = ones.T @ seen
-    return seen.T @ seen, ones.T @ ones, ones_seen, ones_seen.T
+    zeros_ones = zeros.T @ ones
+    return zeros.T @ zeros, zeros_ones, zeros_ones.T, ones.T @ ones
 
 
 def _keys(grams, row_start, ids, rank_by, pseudocount):
@@ -305,7 +303,7 @@ def _keys(grams, row_start, ids, rank_by, pseudocount):
         lo = row_start[row]
         stop = max(row + 1, np.searchsorted(row_start, lo + _TILE_PAIRS, side="right") - 1)
         upper = np.arange(n_markers) > np.arange(row, stop)[:, None]
-        counts = _counts(*(g[row:stop][upper] for g in grams))
+        counts = np.stack([g[row:stop][upper] for g in grams])
         cells = np.add(counts, pseudocount, dtype=np.float64)
         for k in np.flatnonzero((cells <= 0.0).any(axis=0))[:1].tolist():
             _table_or_raise(ids, *_pairs(row_start, lo + k), counts[:, k], pseudocount)
@@ -321,15 +319,16 @@ def _top(key, row_start, ids, top_k):
     kth = min(top_k, key.size) - 1
     candidates = np.flatnonzero(key <= np.partition(key, kth)[kth])
     _, id_rank = np.unique(ids, return_inverse=True)
-    a, b = (id_rank[v] for v in _pairs(row_start, candidates))
-    return _pairs(row_start, candidates[np.lexsort((b, a, key[candidates]))[:top_k]])
+    i, j = _pairs(row_start, candidates)
+    order = np.lexsort((id_rank[j], id_rank[i], key[candidates]))[:top_k]
+    return i[order], j[order]
 
 
 def _results(grams, top_a, top_b, ids, measures, pseudocount):
     """PairResults of the pairs (top_a, top_b): their counts gathered again and
     every measure evaluated on them alone, so a measure that would fail
     only on a pair outside them does not fail the scan."""
-    counts = _counts(*(g[top_a, top_b] for g in grams))
+    counts = np.stack([g[top_a, top_b] for g in grams])
     top = cells_and_logs(np.add(counts, pseudocount, dtype=np.float64))
     values = {kind: kind.on_cells(*top) for kind in measures}
     results = []
@@ -337,13 +336,6 @@ def _results(grams, top_a, top_b, ids, measures, pseudocount):
         values_k = {kind: float(v[k]) for kind, v in values.items()}
         results.append(PairResult(ids[top_a[k]], ids[top_b[k]], tuple(c), sum(c), values_k))
     return results
-
-
-def _counts(n, n11, n1_, n_1):
-    """(n00, n01, n10, n11) from n, n11 and the 1-counts n10 + n11, n01 + n11."""
-    n10 = n1_ - n11
-    n01 = n_1 - n11
-    return np.stack([n - n11 - n10 - n01, n01, n10, n11])
 
 
 def render_results(results, measures):

@@ -277,6 +277,28 @@ class TestGrid:
         assert "lambda: overflow encountered in exp" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["device", "symlink"])
+    def test_numeric_failure_removes_no_output_that_is_not_a_regular_file(
+        self, runner, tmp_path, monkeypatch, failing_lambda, target
+    ):
+        # A recorder in place of os.remove: a wrong removal is seen, and
+        # deletes nothing.
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        if target == "device":
+            out = os.devnull
+        else:
+            out = tmp_path / "link.csv"
+            out.symlink_to(tmp_path / "grid.csv")
+        result = runner.invoke(
+            main,
+            ["grid", "--measure", "lambda", "--odds-ratio", "40", "--half-width", "400",
+             "--step", "200", "-o", str(out)],
+        )
+        assert result.exit_code == 1
+        assert "lambda: overflow encountered in exp" in result.output
+        assert removed == []
+
     @pytest.mark.parametrize("radius", [0.3, 1.5])
     def test_numeric_failure_stops_at_a_whole_block(self, runner, monkeypatch, radius):
         # r's kernel overflows on the cells within a radius of the centre in

@@ -601,19 +601,18 @@ class TestScan:
         m = BinaryMatrix([f"m{k}" for k in range(12)], data)
         kinds = [MeasureKind.from_cli(name) for name in CLI_NAMES]
         dtypes = []
-        original = scanner._counts
+        original = scanner._grams
 
-        def spy(*grams):
-            dtypes.append(np.asarray(grams[0]).dtype.name)
-            return original(*grams)
+        def spy(matrix):
+            grams = original(matrix)
+            dtypes.append(grams[0].dtype.name)
+            return grams
 
-        monkeypatch.setattr(scanner, "_counts", spy)
+        monkeypatch.setattr(scanner, "_grams", spy)
         in_float32 = scan(m, kinds, kinds[-1], top_k=66, pseudocount=0.1)
         monkeypatch.setattr(scanner, "_FLOAT32_SAMPLES", 0)
         in_float64 = scan(m, kinds, kinds[-1], top_k=66, pseudocount=0.1)
-        # count_pair's first pair (Python ints), one tile, then the top k,
-        # in each run.
-        assert dtypes == ["int64", "float32", "float32", "int64", "float64", "float64"]
+        assert dtypes == ["float32", "float64"]
         assert in_float64 == in_float32
         for r in in_float64:
             assert r.counts == count_pair(m, int(r.id_a[1:]), int(r.id_b[1:]))
