@@ -238,7 +238,7 @@ class MeasureKind:
     n: float | None = field(default=DEFAULT_HS_N)
 
     def __post_init__(self):
-        if self.tag not in MEASURES:
+        if not isinstance(self.tag, str) or self.tag not in MEASURES:
             raise ValueError(f"unknown measure tag {self.tag!r}")
         # The other measures drop n, so that their kinds compare equal.
         n = real(self.n) if self.measure.uses_n else None
@@ -248,11 +248,9 @@ class MeasureKind:
 
     @classmethod
     def from_cli(cls, name, n=DEFAULT_HS_N):
-        try:
-            tag = CLI_NAMES[name]
-        except KeyError:
-            raise UnsupportedKind(f"unknown measure name {name!r}") from None
-        return cls(tag, n)
+        if not isinstance(name, str) or name not in CLI_NAMES:
+            raise UnsupportedKind(f"unknown measure name {name!r}")
+        return cls(CLI_NAMES[name], n)
 
     @property
     def measure(self):

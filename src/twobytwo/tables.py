@@ -30,7 +30,6 @@ __all__ = [
     "MarginCoords",
     "BoundaryKind",
     "BoundaryClass",
-    "make_table",
     "margin_transform",
     "theta",
     "psi",
@@ -97,8 +96,6 @@ class ProbTable:
 
     def __post_init__(self):
         weights = [_check_positive(v, f"cell {n}") for n, v in zip(_CELL_NAMES, self.cells)]
-        if not math.isfinite(cell_total(weights)):
-            raise DegenerateTable(f"cells do not have a finite positive sum: {weights}")
         _set_cells(self, *_cells_and_logs(weights, max, min))
 
     @property
@@ -121,11 +118,6 @@ class ProbTable:
     @property
     def col1(self):
         return self.p01 + self.p11
-
-    @property
-    def det(self):
-        """Additive deviation from independence: p00*p11 - p01*p10."""
-        return self.p00 * self.p11 - self.p01 * self.p10
 
 
 @dataclass(frozen=True)
@@ -163,9 +155,6 @@ class BoundaryClass:
 
     kind: BoundaryKind
     detail: str
-
-
-make_table = ProbTable
 
 
 def _set_cells(table, cells, logs, x):
@@ -276,12 +265,24 @@ def cell_total(weights):
 
 def cells_and_logs(weights):
     """Normalised cells, none below _CELL_FLOOR, their exact natural logs and
-    x of the logs, of (4, ...) weights: lists of four arrays, and an array."""
-    return _cells_and_logs(weights, np.maximum, np.minimum)
+    x of the logs, of (4, ...) weights: lists of four arrays, and an array.
+    Raises the DegenerateTable of ``ProbTable`` where a column's total is not
+    finite, naming the four weights of the first such column."""
+    with np.errstate(over="ignore"):  # an overflowing total raises below instead
+        return _cells_and_logs(weights, np.maximum, np.minimum)
 
 
 def _cells_and_logs(weights, maximum, minimum):
     total = cell_total(weights)
+    # One table's float total by math.isfinite, far cheaper than numpy's check.
+    if type(total) is float:
+        finite = math.isfinite(total)
+    elif not (finite := np.isfinite(total).all()):
+        # The first failing column, as the floats of one table.
+        first = np.flatnonzero(~np.isfinite(total))[0]
+        weights = [float(np.broadcast_to(w, total.shape).flat[first]) for w in weights]
+    if not finite:
+        raise DegenerateTable(f"cells do not have a finite positive sum: {weights}")
     logs = _log_cells(weights, maximum, minimum)
     return [maximum(w / total, _CELL_FLOOR) for w in weights], logs, half_log_odds(logs)
 
@@ -344,7 +345,7 @@ def symmetry_apply(t, op):
     transpose_markers swaps p01/p10 (coordinates: y <-> z); swap_rows and
     swap_cols flip the sign of x together with y or z respectively.
     """
-    if op in _SYMMETRY_OPS:
+    if isinstance(op, str) and op in _SYMMETRY_OPS:
         order, x = _SYMMETRY_OPS[op], t.x if op == "transpose_markers" else 0.0 - t.x
         return _set_cells(object.__new__(ProbTable), order(t.cells), order(t.logs), x)
     raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
@@ -368,11 +369,15 @@ def ray_limit(direction):
     in the limit the mass splits uniformly over the argmax set and every other
     cell is exactly zero, so the limit depends only on the direction, not on
     its length.  Returns (cells, BoundaryClass) where cells is a plain
-    4-tuple because boundary tables are not ProbTable values.
+    4-tuple because boundary tables are not ProbTable values.  A direction
+    that is not three finite reals, or is zero, raises ValueError.
     """
-    dx, dy, dz = map(real, direction)
+    try:
+        dx, dy, dz = map(real, direction)
+    except (TypeError, ValueError):  # not iterable, or not three items
+        dx = dy = dz = math.nan
     if not all(math.isfinite(d) for d in (dx, dy, dz)):
-        raise ValueError(f"direction must be finite, got {direction!r}")
+        raise ValueError(f"direction must be three finite reals, got {direction!r}")
     scale = max(abs(dx), abs(dy), abs(dz))
     if scale == 0.0:
         raise ValueError("direction must be non-zero")

@@ -15,13 +15,13 @@ import numpy as np
 from twobytwo import (
     MarginCoords,
     MeasureKind,
+    ProbTable,
     critical_points,
     entropy_grid_argmax,
     eval_in_coords,
     kappa,
     lambert_w0,
     magic_odds_ratio,
-    make_table,
     odds_ratio,
     psi,
     scan,
@@ -175,7 +175,7 @@ def test_axiom_suite():
             assert transpose < 1e-10, f"{tag} transpose: {transpose}"
             assert flip < 1e-10, f"{tag} sign flip: {flip}"
         # Margin-sensitivity counterexample at identical odds-ratio.
-        a = make_table(0.45, 0.05, 0.05, 0.45)
+        a = ProbTable(0.45, 0.05, 0.05, 0.45)
         b = psi(MarginCoords(math.log(9.0), 3.0, -3.0))
         assert abs(odds_ratio(a) - odds_ratio(b)) < 1e-6
         assert abs(kappa(a) - kappa(b)) > 0.5
@@ -195,7 +195,7 @@ def test_gradient_oracles():
             t = ensure_lambda_above_one(raw)
             assert s10_closed_form(t) <= 1e-12
         root = math.sqrt(7.0)
-        diag = make_table(root, 1.0, 1.0, root)
+        diag = ProbTable(root, 1.0, 1.0, root)
         assert abs(s10_closed_form(diag)) < 1e-12
 
     check("gradient-oracles", run)

@@ -1,6 +1,7 @@
 """Every public entry point takes a caller's number by the one rule of
 ``tables.real``: a bool, a non-real or a real past the double range raises
-the entry point's own typed error, and any other real acts as its float."""
+the entry point's own typed error, and any other real acts as its float.
+A malformed name or direction raises the function's own error too."""
 
 from __future__ import annotations
 
@@ -17,21 +18,22 @@ from twobytwo import (
     MarginCoords,
     MeasureKind,
     ProbTable,
+    UnsupportedKind,
     counts_to_table,
     critical_points,
     entropy_grid_argmax,
     hs,
     lambert_w0,
     lambert_w_minus1,
-    make_table,
     margin_limit,
     margin_transform,
     psi_cells,
     ray_limit,
     scan,
+    symmetry_apply,
 )
 
-TABLE = make_table(0.4, 0.1, 0.2, 0.3)
+TABLE = ProbTable(0.4, 0.1, 0.2, 0.3)
 MATRIX = BinaryMatrix(["a", "b", "c"], np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], np.int8))
 Y = MeasureKind("yule_y")
 
@@ -94,3 +96,20 @@ def test_a_bad_number_raises_the_typed_error(entry, value):
 def test_any_real_acts_as_its_float(entry, value):
     call, _ = entry
     assert outcome(call, value) == outcome(call, 2.0)
+
+
+# name: (call of a malformed name or direction, its typed error, its text)
+MALFORMED = {
+    "MeasureKind list": (lambda: MeasureKind(["hs"]), ValueError, "unknown measure tag"),
+    "from_cli list": (lambda: MeasureKind.from_cli(["HS"]), UnsupportedKind, "unknown measure name"),
+    "symmetry_apply list": (lambda: symmetry_apply(TABLE, ["swap_rows"]), ValueError, "op must be one of"),
+    "ray_limit int": (lambda: ray_limit(5), ValueError, "direction must be three finite reals"),
+    "ray_limit None": (lambda: ray_limit(None), ValueError, "direction must be three finite reals"),
+    "ray_limit pair": (lambda: ray_limit((1, 2)), ValueError, "direction must be three finite reals"),
+}
+
+
+@pytest.mark.parametrize("call, error, text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_name_or_direction_raises_the_typed_error(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

@@ -28,7 +28,6 @@ from twobytwo import (
     evaluate,
     hs,
     kappa,
-    make_table,
     margin_limit,
     mut_inf,
     odds_ratio,
@@ -53,8 +52,8 @@ from conftest import (
     s10_closed_form,
 )
 
-T = make_table(0.4, 0.1, 0.2, 0.3)
-MIDPOINT = make_table(1, 1, 1, 1)
+T = ProbTable(0.4, 0.1, 0.2, 0.3)
+MIDPOINT = ProbTable(1, 1, 1, 1)
 
 
 def diag_table(lam):
@@ -94,7 +93,7 @@ class TestDirectForms:
         assert d_prime(T) == pytest.approx(0.5, rel=1e-12)
 
     def test_d_prime_negative_case(self):
-        t = make_table(0.1, 0.4, 0.3, 0.2)
+        t = ProbTable(0.1, 0.4, 0.3, 0.2)
         # det = -0.10 < 0: D_max = min(row0*col0, row1*col1) = min(0.2, 0.3).
         assert d_prime(t) == pytest.approx(-0.5, rel=1e-12)
 
@@ -112,7 +111,7 @@ class TestDirectForms:
 
     def test_s_mut_inf_value_and_sign(self):
         assert s_mut_inf(T) == pytest.approx(0.1245112, abs=5e-7)
-        flipped = make_table(0.1, 0.4, 0.3, 0.2)
+        flipped = ProbTable(0.1, 0.4, 0.3, 0.2)
         assert s_mut_inf(flipped) == pytest.approx(-mut_inf(flipped), rel=1e-12)
 
     def test_s_mut_inf_approaches_one_on_near_diagonal(self):
@@ -121,7 +120,7 @@ class TestDirectForms:
         assert s_mut_inf(t) == pytest.approx(1.0, abs=1e-7)
 
     def test_kappa_examples(self):
-        assert kappa(make_table(0.45, 0.05, 0.05, 0.45)) == pytest.approx(0.8)
+        assert kappa(ProbTable(0.45, 0.05, 0.05, 0.45)) == pytest.approx(0.8)
         assert kappa(MIDPOINT) == pytest.approx(0.0, abs=1e-15)
 
     def test_entropy_examples(self):
@@ -674,7 +673,7 @@ class TestAxioms:
 
     def test_kappa_counterexample(self):
         # Same association strength, different margins, different kappa.
-        a = make_table(0.45, 0.05, 0.05, 0.45)
+        a = ProbTable(0.45, 0.05, 0.05, 0.45)
         b = psi(MarginCoords(math.log(9.0), 3.0, -3.0))
         assert odds_ratio(a) == pytest.approx(odds_ratio(b), rel=1e-10)
         assert kappa(a) == pytest.approx(0.8)

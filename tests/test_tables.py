@@ -21,7 +21,7 @@ from twobytwo import (
     MarginCoords,
     MeasureKind,
     ProbTable,
-    make_table,
+    d_raw,
     margin_transform,
     odds_ratio,
     psi,
@@ -35,7 +35,7 @@ from twobytwo import tables
 from twobytwo.tables import cell_total, cells_and_logs
 from conftest import max_roundtrip_error, random_tables
 
-MIDPOINT = make_table(1, 1, 1, 1)
+MIDPOINT = ProbTable(1, 1, 1, 1)
 
 
 def assert_table_close(t, cells, tol=1e-12):
@@ -45,16 +45,16 @@ def assert_table_close(t, cells, tol=1e-12):
 
 class TestMakeTable:
     def test_uniform_weights_give_midpoint(self):
-        assert_table_close(make_table(1, 1, 1, 1), (0.25, 0.25, 0.25, 0.25))
+        assert_table_close(ProbTable(1, 1, 1, 1), (0.25, 0.25, 0.25, 0.25))
 
     def test_normalized_input_unchanged(self):
-        assert_table_close(make_table(0.4, 0.1, 0.2, 0.3), (0.4, 0.1, 0.2, 0.3))
+        assert_table_close(ProbTable(0.4, 0.1, 0.2, 0.3), (0.4, 0.1, 0.2, 0.3))
 
     def test_raw_weights_renormalized(self):
-        assert_table_close(make_table(4, 1, 2, 3), (0.4, 0.1, 0.2, 0.3))
+        assert_table_close(ProbTable(4, 1, 2, 3), (0.4, 0.1, 0.2, 0.3))
 
     def test_sum_is_one(self):
-        t = make_table(0.31, 0.22, 0.17, 0.05)
+        t = ProbTable(0.31, 0.22, 0.17, 0.05)
         assert abs(sum(t.cells) - 1.0) < 1e-12
 
     @pytest.mark.parametrize(
@@ -70,7 +70,7 @@ class TestMakeTable:
     )
     def test_rejects_bad_weights(self, cells):
         with pytest.raises(DegenerateTable):
-            make_table(*cells)
+            ProbTable(*cells)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
     def test_numpy_scalar_cells(self, dtype):
@@ -82,26 +82,23 @@ class TestMakeTable:
         with pytest.raises(DegenerateTable):
             ProbTable(flag, 1, 1, 1)
 
-    def test_make_table_is_the_constructor(self):
-        assert make_table is ProbTable
-
     def test_the_four_cells_are_the_only_parameters(self):
         assert list(inspect.signature(ProbTable).parameters) == ["p00", "p01", "p10", "p11"]
         with pytest.raises(TypeError):
             ProbTable(1, 2, 3, 4, exact_logs=(0.0, 0.0, 0.0, 0.0))
 
     def test_margins_and_det(self):
-        t = make_table(0.4, 0.1, 0.2, 0.3)
+        t = ProbTable(0.4, 0.1, 0.2, 0.3)
         assert t.row0 == pytest.approx(0.5)
         assert t.row1 == pytest.approx(0.5)
         assert t.col0 == pytest.approx(0.6)
         assert t.col1 == pytest.approx(0.4)
-        assert t.det == pytest.approx(0.10)
+        assert d_raw(t) == pytest.approx(0.10)
 
 
 class TestMarginTransform:
     def test_identity(self):
-        t = make_table(0.4, 0.1, 0.2, 0.3)
+        t = ProbTable(0.4, 0.1, 0.2, 0.3)
         assert_table_close(margin_transform(t, 1, 1), t.cells)
 
     def test_composition_is_group_law(self):
@@ -114,7 +111,7 @@ class TestMarginTransform:
                 assert abs(a - b) < 1e-12
 
     def test_representant_with_half_margins(self):
-        t = make_table(0.4, 0.1, 0.2, 0.3)
+        t = ProbTable(0.4, 0.1, 0.2, 0.3)
         mu = math.sqrt(t.p10 * t.p11 / (t.p00 * t.p01))
         nu = math.sqrt(t.p01 * t.p11 / (t.p00 * t.p10))
         rep = margin_transform(t, mu, nu)
@@ -131,7 +128,7 @@ class TestMarginTransform:
             )
 
     def test_numpy_float32_scalars(self):
-        t = make_table(0.4, 0.1, 0.2, 0.3)
+        t = ProbTable(0.4, 0.1, 0.2, 0.3)
         got = margin_transform(t, np.float32(2.0), np.float32(0.5))
         assert got == margin_transform(t, 2.0, 0.5)
 
@@ -170,13 +167,13 @@ class TestCoordinates:
     def test_diagonal_table_on_x_axis(self):
         for lam in (5.0, 40.0, 0.2):
             root = math.sqrt(lam)
-            t = make_table(root, 1, 1, root)
+            t = ProbTable(root, 1, 1, root)
             c = theta(t)
             assert c.x == pytest.approx(0.5 * math.log(lam), abs=1e-12)
             assert abs(c.y) < 1e-12 and abs(c.z) < 1e-12
 
     def test_known_coordinates(self):
-        c = theta(make_table(0.4, 0.1, 0.2, 0.3))
+        c = theta(ProbTable(0.4, 0.1, 0.2, 0.3))
         assert c.x == pytest.approx(0.5 * math.log(0.12 / 0.02), abs=1e-12)
         assert c.y == pytest.approx(0.5 * math.log(0.04 / 0.06), abs=1e-12)
         assert c.z == pytest.approx(0.5 * math.log(0.08 / 0.03), abs=1e-12)
@@ -190,7 +187,7 @@ class TestCoordinates:
         assert odds_ratio(t) == pytest.approx(40.0, rel=1e-12)
 
     def test_round_trip_table(self):
-        t = make_table(0.4, 0.1, 0.2, 0.3)
+        t = ProbTable(0.4, 0.1, 0.2, 0.3)
         assert_table_close(psi(theta(t)), t.cells, tol=1e-12)
 
     def test_round_trip_sweep(self):
@@ -402,6 +399,27 @@ class TestOneTableIsAColumnOfAnArray:
         assert (bits([t.logs for t in one_by_one]) == bits(logs.T)).all()
         assert (bits([t.x for t in one_by_one]) == bits(x)).all()
 
+    def test_a_column_whose_total_overflows_fails_as_probtable_does(self):
+        weights = np.array([
+            [0.4, 1e308, 5e-324],
+            [0.1, 1e308, 1.0],
+            [0.2, 1e308, 1e308],
+            [0.3, 1e308, 2.0],
+        ])
+        with pytest.raises(DegenerateTable) as one_table:
+            ProbTable(1e308, 1e308, 1e308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning comes first
+            with pytest.raises(DegenerateTable) as array:
+                cells_and_logs(weights)
+        assert str(array.value) == str(one_table.value)
+        finite = weights[:, [0, 2]]
+        cells, logs, x = (np.array(a) for a in cells_and_logs(finite))
+        one_by_one = [ProbTable(*column) for column in finite.T.tolist()]
+        assert (bits([t.cells for t in one_by_one]) == bits(cells.T)).all()
+        assert (bits([t.logs for t in one_by_one]) == bits(logs.T)).all()
+        assert (bits([t.x for t in one_by_one]) == bits(x)).all()
+
     def test_psi_past_the_no_overflow_bound_fails_where_psi_cells_does(self):
         # Where a log of the array form is not finite, psi raises; elsewhere it
         # gives the same bits.  No warning either way (warnings are errors).
@@ -481,11 +499,11 @@ class TestTheProducersKeepX:
 
 class TestSymmetry:
     def test_transpose_markers(self):
-        t = symmetry_apply(make_table(0.4, 0.1, 0.2, 0.3), "transpose_markers")
+        t = symmetry_apply(ProbTable(0.4, 0.1, 0.2, 0.3), "transpose_markers")
         assert_table_close(t, (0.4, 0.2, 0.1, 0.3))
 
     def test_swaps_are_involutions(self):
-        t = make_table(0.4, 0.1, 0.2, 0.3)
+        t = ProbTable(0.4, 0.1, 0.2, 0.3)
         for op in ("transpose_markers", "swap_rows", "swap_cols"):
             assert_table_close(symmetry_apply(symmetry_apply(t, op), op), t.cells)
 
