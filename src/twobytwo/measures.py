@@ -11,8 +11,8 @@ Hdiag and H.  ``evaluate`` runs a kernel on a ProbTable, ``eval_in_coords``
 on ``tables.psi`` at margin coordinates, the grids on ``tables.psi_cells``
 and the scanner on counts, so a measure gives one number however its table
 arrives.  D, D', r and kappa take log|D| from the larger diagonal product,
-so that no sum of logs cancels.  ``margin_limit`` gives the closed-form
-limits along one margin axis.
+so that no sum of logs cancels.  ``margin_limit`` gives each measure's
+closed-form limit as one margin coordinate goes to +-infinity.
 
 Conventions: mutual information, entropy and the HS exponent use base-2
 logarithms; the coordinates themselves are natural-log scale.
@@ -63,7 +63,7 @@ _strict = np.errstate(divide="raise", over="raise", invalid="raise")
 
 
 class UnsupportedKind(ValueError):
-    """An unknown measure name, or a measure with no closed-form axis limit."""
+    """An unknown measure name."""
 
 
 # --- kernels of (p, l, x, n): the cells, their logs, x and the HS exponent --
@@ -155,8 +155,8 @@ def _weighted_y(x, h, n):
     return np.sign(y) * np.power(np.abs(y), weight)
 
 
-def _tanh_half_x(x, *_):
-    """Yule's Y at x, and its limit along every margin axis."""
+def _tanh_half_x(x):
+    """Yule's Y at x."""
     return np.tanh(0.5 * x)
 
 
@@ -177,13 +177,14 @@ def _d_prime_limit(x, s, other, n):
     return sign * np.exp(_log1m_exp_2a(a) - _logaddexp(t, 0.0))
 
 
-def _hs_limit(x, s, other, n):
-    # HS's kernel on the limit table at x, a single binary split in the ratio
-    # 1 : e^a.  Past |a| = 800 its smaller side underflows to 0, so a is capped.
+def _split_limit(cells, x, s, other, n):
+    # The kernel ``cells`` on the limit table at x, a single binary split in the
+    # ratio 1 : e^a.  Past |a| = 800 its smaller side underflows to 0, so a is
+    # capped.  The empty cells weigh -0.0, so that a pure split's H is +0.0.
     with np.errstate(over="ignore"):
         a = np.clip(x + s * other, -800.0, 800.0)
     l0, l1 = -_logaddexp(0.0, a), -_logaddexp(-a, 0.0)
-    return _hs((np.exp(l0), np.exp(l1), 0.0, 0.0), (l0, l1, 0.0, 0.0), x, n)
+    return cells((np.exp(l0), np.exp(l1), 0.0, 0.0), (l0, l1, -0.0, -0.0), x, n)
 
 
 # --- the registry ----------------------------------------------------------
@@ -196,34 +197,39 @@ class Measure:
     ``cells(p, l, x, n)`` is the one formula of the measure: ``p`` is the
     four normalised cells (p00, p01, p10, p11), ``l`` their exact natural
     logs, each four arrays (or floats), and ``x`` the x that ``tables`` gives.
-    ``limit(x, s, other, n)`` is the closed-form limit as one margin
-    coordinate goes to s * infinity (s = +-1) with the other held.  ``n``
-    is the HS exponent; only measures with ``uses_n`` read it.
+    ``limit(x, s, other, n)`` is the closed-form limit of ``cells`` as one
+    margin coordinate goes to s * infinity (s = +-1) with the other held.
+    ``n`` is the HS exponent; only measures with ``uses_n`` read it.
     """
 
     tag: str
     cli_name: str
     cells: Callable
-    limit: Callable | None = None
+    limit: Callable
     uses_n: bool = False
+
+
+def _of_x(tag, cli_name, f):
+    """A measure of x alone: f(x) is its kernel and, as x is held, its limit."""
+    return Measure(tag, cli_name, lambda p, l, x, n: f(x), lambda x, s, other, n: f(x))
 
 
 MEASURES = {
     m.tag: m
     for m in (
         # 2x in numpy, so that it overflows under _strict for a float x too.
-        Measure("odds_ratio", "lambda", lambda p, l, x, n: np.exp(np.multiply(2.0, x))),
-        Measure("yule_q", "Q", lambda p, l, x, n: np.tanh(x)),
-        Measure("yule_y", "Y", lambda p, l, x, n: _tanh_half_x(x), _tanh_half_x),
-        Measure("d_raw", "D", lambda p, l, x, n: _det_over(l, x, 0.0)),
+        _of_x("odds_ratio", "lambda", lambda x: np.exp(np.multiply(2.0, x))),
+        _of_x("yule_q", "Q", np.tanh),
+        _of_x("yule_y", "Y", _tanh_half_x),
+        Measure("d_raw", "D", lambda p, l, x, n: _det_over(l, x, 0.0), _zero_limit),
         Measure("d_prime", "Dprime", _d_prime, _d_prime_limit),
         Measure("corr_r", "r", _corr_r, _zero_limit),
-        Measure("mut_inf", "MI", _mut_inf),
+        Measure("mut_inf", "MI", _mut_inf, _zero_limit),
         Measure("s_mut_inf", "sMI", _s_mut_inf, _zero_limit),
-        Measure("kappa", "kappa", _kappa),
-        Measure("entropy", "H", _entropy),
-        Measure("entropy_diag", "Hdiag", lambda p, l, x, n: _entropy_diag_x(x)),
-        Measure("hs", "HS", _hs, _hs_limit, uses_n=True),
+        Measure("kappa", "kappa", _kappa, _zero_limit),
+        Measure("entropy", "H", _entropy, partial(_split_limit, _entropy)),
+        _of_x("entropy_diag", "Hdiag", _entropy_diag_x),
+        Measure("hs", "HS", _hs, partial(_split_limit, _hs), uses_n=True),
     )
 }
 
@@ -263,17 +269,17 @@ class MeasureKind:
 
     def on_cells(self, p, l, x):
         """The kernel on cells p, their logs l (each four arrays) and x, broadcast."""
-        return self._kernel(None, p, l, x)
+        return self._named(self.measure.cells, None, p, l, x)
 
     def on_coords(self, x, y, z):
         """The kernel on ``psi_cells`` at (x, y, z), which keeps x as it is."""
-        return self._kernel(psi_cells, x, y, z)
+        return self._named(self.measure.cells, psi_cells, x, y, z)
 
     @_strict
-    def _kernel(self, producer, *args):
-        """The kernel on producer(*args), or args; its FloatingPointError names the measure."""
+    def _named(self, formula, producer, *args):
+        """formula (kernel or limit) on producer(*args), or args; its error names the measure."""
         try:
-            return self.measure.cells(*(producer(*args) if producer else args), self.n)
+            return formula(*(producer(*args) if producer else args), self.n)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{self.cli_name}: {exc}") from None
 
@@ -308,24 +314,21 @@ def hs(t, n=DEFAULT_HS_N):
     return evaluate(MeasureKind("hs", n), t)
 
 
-@_strict
 def margin_limit(kind, x, axis, direction, other):
-    """Closed-form limit of a margin weighting function along one axis.
+    """Closed-form limit of a measure along one margin axis.
 
     ``axis`` is "y" or "z", ``direction`` is +1/-1 (or "+"/"-") and
     ``other`` is the held-fixed remaining coordinate; x and other must be
-    finite (ValueError, as in ``MarginCoords``).  Supported: the measures
-    with a ``limit`` in ``MEASURES``.
+    finite (ValueError, as in ``MarginCoords``).  Supported: every measure, by
+    its ``limit``, whose FloatingPointError names the measure as a kernel's does.
     """
-    if axis not in ("y", "z"):
+    if not isinstance(axis, str) or axis not in ("y", "z"):
         raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
-    if isinstance(direction, (bool, np.bool_)) or direction not in ("+", "-", 1, -1):
+    s = {"+": 1.0, "-": -1.0}.get(direction) if isinstance(direction, str) else real(direction)
+    if s not in (1.0, -1.0):
         raise ValueError(f"direction must be '+'/'-' or +-1, got {direction!r}")
-    s = 1.0 if direction in ("+", 1) else -1.0
-    limit = kind.measure.limit
-    if limit is None:
-        raise UnsupportedKind(f"{kind.tag} has no closed-form axis limit")
     # A NaN or infinite x or held coordinate (z on the y axis, y on z) raises here.
     c = MarginCoords(x, *((0.0, other) if axis == "y" else (other, 0.0)))
     # As numpy floats, so that an intermediate inf or nan raises under _strict.
-    return float(limit(np.float64(c.x), s, np.float64(c.z if axis == "y" else c.y), kind.n))
+    held = np.float64(c.z if axis == "y" else c.y)
+    return float(kind._named(kind.measure.limit, None, np.float64(c.x), s, held))

@@ -222,9 +222,11 @@ def _float_pseudocount(pseudocount):
 
 def counts_to_table(counts, pseudocount):
     """Probability table proportional to count + pseudocount per cell; ValueError
-    unless each count is a real >= 0 (as given) and the pseudocount a finite one,
-    none a bool, and DegenerateTable for a zero cell or a count past the double range."""
-    alpha, counts = _float_pseudocount(pseudocount), tuple(counts)
+    unless the four counts are reals >= 0 (as given) and the pseudocount a finite
+    one, none a bool, and DegenerateTable for a zero cell or a count past the double range."""
+    alpha = _float_pseudocount(pseudocount)
+    if not np.iterable(counts) or len(counts := tuple(counts)) != 4:
+        raise ValueError(f"counts_to_table needs four counts, got {counts!r}")
     cells = [real(c) for c in counts]
     if not all(value >= 0.0 and c >= 0 for value, c in zip(cells, counts)):
         raise ValueError(f"counts must be reals >= 0, got {counts}")

@@ -1,7 +1,8 @@
 """Every public entry point takes a caller's number by the one rule of
 ``tables.real``: a bool, a non-real or a real past the double range raises
 the entry point's own typed error, and any other real acts as its float.
-A malformed name or direction raises the function's own error too."""
+A malformed name, direction or list of counts raises the function's own
+error too."""
 
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def test_any_real_acts_as_its_float(entry, value):
     assert outcome(call, value) == outcome(call, 2.0)
 
 
-# name: (call of a malformed name or direction, its typed error, its text)
+# name: (call of a malformed name, direction or count list, its typed error, its text)
 MALFORMED = {
     "MeasureKind list": (lambda: MeasureKind(["hs"]), ValueError, "unknown measure tag"),
     "from_cli list": (lambda: MeasureKind.from_cli(["HS"]), UnsupportedKind, "unknown measure name"),
@@ -106,6 +107,18 @@ MALFORMED = {
     "ray_limit int": (lambda: ray_limit(5), ValueError, "direction must be three finite reals"),
     "ray_limit None": (lambda: ray_limit(None), ValueError, "direction must be three finite reals"),
     "ray_limit pair": (lambda: ray_limit((1, 2)), ValueError, "direction must be three finite reals"),
+    "counts_to_table three": (lambda: counts_to_table((1, 2, 3), 0.5), ValueError, "needs four counts"),
+    "counts_to_table int": (lambda: counts_to_table(5, 0.5), ValueError, "needs four counts"),
+    "margin_limit axis array": (
+        lambda: margin_limit(Y, 1.0, np.array(["y", "z"]), "+", 0.0),
+        ValueError,
+        "axis must be",
+    ),
+    "margin_limit direction array": (
+        lambda: margin_limit(Y, 1.0, "y", np.array([1, -1]), 0.0),
+        ValueError,
+        "direction must be",
+    ),
 }
 
 

@@ -250,6 +250,14 @@ class TestMeasureKind:
             eval_in_coords(kind, c)
         with pytest.raises(FloatingPointError, match=message):
             kind.on_coords(*(np.array([v]) for v in (c.x, c.y, c.z)))
+        # The axis limit is the same function of x, named by the same path:
+        # at this x, and at x = 400, where e^2x overflows as at (400, 0, 0).
+        with pytest.raises(FloatingPointError, match=message):
+            margin_limit(kind, c.x, "y", "+", 0.0)
+        for call in (lambda: eval_in_coords(kind, MarginCoords(400.0, 0.0, 0.0)),
+                     lambda: margin_limit(kind, 400.0, "y", "+", 0.0)):
+            with pytest.raises(FloatingPointError, match="^lambda: overflow encountered in exp$"):
+                call()
 
     @pytest.mark.parametrize("form", ["on_cells", "on_coords"])
     def test_a_floating_point_error_names_the_measure_once(self, form):
@@ -319,11 +327,10 @@ class TestCoordinateForms:
             for kind in kinds:
                 assert math.isfinite(eval_in_coords(kind, c))
 
-    def test_unsupported_tag_raises(self):
-        # Every measure has a coordinate form; mut_inf has no axis limit.
+    def test_mut_inf_has_a_coordinate_form_and_an_axis_limit(self):
+        # Every measure has a coordinate form and an axis limit; MI's is 0.
         assert eval_in_coords(MeasureKind("mut_inf"), MarginCoords(0, 0, 0)) == 0.0
-        with pytest.raises(UnsupportedKind):
-            margin_limit(MeasureKind("mut_inf"), 1.0, "y", "+", 0.0)
+        assert margin_limit(MeasureKind("mut_inf"), 1.0, "y", "+", 0.0) == 0.0
 
 
 # Margin coordinates over psi's documented domain, |x|, |y|, |z| <= 500.
@@ -502,9 +509,16 @@ class TestAccuracyOfTheMeasuresThatReadX:
         assert set(worst) == set(X_MEASURES)
 
 
+MI_CANCELS = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: MI, and sMI = sign(x) MI, cancel to up to 8e-17 where their limit is 0",
+)
+
+
 class TestMarginLimits:
-    def test_r_and_smi_vanish(self):
-        for kind in (MeasureKind("corr_r"), MeasureKind("s_mut_inf")):
+    def test_d_r_mi_smi_and_kappa_vanish(self):
+        for tag in ("d_raw", "corr_r", "mut_inf", "s_mut_inf", "kappa"):
+            kind = MeasureKind(tag)
             assert margin_limit(kind, 1.3, "y", "+", -0.4) == 0.0
             assert margin_limit(kind, -2.0, "z", -1, 1.5) == 0.0
 
@@ -531,7 +545,7 @@ class TestMarginLimits:
             assert abs(limit) < abs(math.tanh(0.5 * x))
             assert math.copysign(1.0, limit) == math.copysign(1.0, x)
 
-    @pytest.mark.parametrize("tag", ["yule_y", "corr_r", "d_prime", "hs"])
+    @pytest.mark.parametrize("tag", list(MEASURES))
     def test_limits_match_coordinate_forms_far_out(self, tag):
         rng = np.random.default_rng(43)
         kind = MeasureKind(tag, 4.0)
@@ -541,11 +555,30 @@ class TestMarginLimits:
             for axis in ("y", "z"):
                 for s in (1.0, -1.0):
                     want = margin_limit(kind, x, axis, s, other)
+                    assert math.isfinite(want)
                     if axis == "y":
                         c = MarginCoords(x, 30.0 * s, other)
                     else:
                         c = MarginCoords(x, other, 30.0 * s)
                     assert eval_in_coords(kind, c) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "tag", [pytest.param(t, marks=MI_CANCELS) if "mut_inf" in t else t for t in MEASURES]
+    )
+    def test_limits_at_coordinate_400(self, tag):
+        # Nonzero limits to 1e-10 relative; a zero limit to 1e-80 absolute,
+        # which D, r and kappa meet by e^-400 and MI and sMI miss by cancellation.
+        rng = np.random.default_rng(45)
+        kind = MeasureKind(tag)
+        for _ in range(50):
+            x, other = rng.uniform(-2.0, 2.0, size=2)
+            for axis in ("y", "z"):
+                for s in (1.0, -1.0):
+                    want = margin_limit(kind, x, axis, s, other)
+                    c = MarginCoords(x, *((400.0 * s, other) if axis == "y" else (other, 400.0 * s)))
+                    got = eval_in_coords(kind, c)
+                    bound = 1e-10 * abs(want) if want != 0.0 else 1e-80
+                    assert abs(got - want) <= bound, (tag, x, axis, s, other, got, want)
 
     def test_s_mut_inf_limit_matches_table_form(self):
         kind = MeasureKind("s_mut_inf")
@@ -562,10 +595,14 @@ class TestMarginLimits:
             ("d_prime", 1e308, "y", "+", 1e308, 0.5),
             # x + other overflows; the split 1 : e^inf has no entropy.
             ("hs", 1e308, "y", "+", 1e308, 1.0),
+            # The same split's entropy is +0.0, as is one of 1 : e^900.
+            ("entropy", 1e308, "y", "+", 1e308, 0.0),
+            ("entropy", 1.0, "y", "+", 900.0, 0.0),
         ],
     )
     def test_intermediate_overflow_with_a_finite_limit(self, tag, x, axis, direction, other, want):
-        assert margin_limit(MeasureKind(tag), x, axis, direction, other) == want
+        got = margin_limit(MeasureKind(tag), x, axis, direction, other)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize(
         "x,axis,direction,other,want",
@@ -620,7 +657,7 @@ class TestMarginLimits:
             else:
                 assert err <= 1e-12 * abs(want), (x, axis, direction, other, got)
 
-    @pytest.mark.parametrize("tag", ["yule_y", "d_prime", "corr_r", "s_mut_inf", "hs"])
+    @pytest.mark.parametrize("tag", list(MEASURES))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_x_or_other_raises_value_error(self, tag, bad):
         # The held coordinate is z along the y axis and y along the z axis.
@@ -655,8 +692,12 @@ class TestMarginLimits:
             assert margin_limit(kind, 1.0, "y", direction, 0.5) == plus
         for direction in (-1, -1.0, np.int64(-1)):
             assert margin_limit(kind, 1.0, "y", direction, 0.5) == minus
-        with pytest.raises(UnsupportedKind):
-            margin_limit(MeasureKind("entropy"), 1.0, "y", "+", 0.0)
+        # H's limit is the entropy of the split 1 : e^(x + other), 0.589066...
+        p = 1.0 / (1.0 + math.exp(1.8))
+        want = -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+        for direction in ("+", 1, 1.0):
+            got = margin_limit(MeasureKind("entropy"), 1.1, "y", direction, 0.7)
+            assert got == pytest.approx(want, rel=1e-14) and round(got, 6) == 0.589066
 
 
 class TestAxioms:
