@@ -220,8 +220,7 @@ def _rise(x, y):
     return y2 * r
 
 
-def _on_anti_diagonal(x, y, classification, branch):
-    table = psi(MarginCoords(x, y, -y))
+def _point(table, classification, branch):
     return CriticalPoint(table, theta(table), classification, branch)
 
 
@@ -243,18 +242,18 @@ def critical_points(big_l):
     if big_l < 1.0:
         # Branch labels follow the mirrored solution: for L < 1 the two
         # maxima are individually y<->z symmetric, so y-z cannot label them.
-        mirrored = critical_points(1.0 / big_l)
-        swapped = [(symmetry_apply(pt.table, "swap_cols"), pt) for pt in mirrored]
-        return [CriticalPoint(t, theta(t), pt.classification, pt.branch) for t, pt in swapped]
+        return [_point(symmetry_apply(pt.table, "swap_cols"), pt.classification, pt.branch)
+                for pt in critical_points(1.0 / big_l)]
 
     # Every critical table lies on z = -y.  The sign of N(0) = _n0(x)
     # classifies the diagonal point; a negative sign (past the magic
     # odds-ratio) leaves one root y* in (0, x] of N(y) = N(0) + _rise(x, y),
     # since N(x) = 2 e^-x > 0.
     x = 0.5 * math.log(big_l)
+    diag = psi(MarginCoords(x, 0.0, 0.0))
     n0 = _n0(x)
     if n0 >= 0.0:
-        return [_on_anti_diagonal(x, 0.0, "maximum", "diag")]
+        return [_point(diag, "maximum", "diag")]
     if x <= _FAR_X:
         y_star = _root(lambda y: n0 + _rise(x, y), 0.0, x)
     else:
@@ -262,12 +261,11 @@ def critical_points(big_l):
         # [x/2, x] and N(x/2) < 0.
         e_x = math.exp(-x)
         y_star = _root(lambda y: e_x + math.exp(-y) + (y - x) * math.sinh(y) / y, 0.5 * x, x)
-    upper = _on_anti_diagonal(x, y_star, "maximum", "L_upper")
-    lower = symmetry_apply(upper.table, "transpose_markers")
+    upper = psi(MarginCoords(x, y_star, -y_star))
     return [
-        _on_anti_diagonal(x, 0.0, "saddle", "diag"),
-        upper,
-        CriticalPoint(lower, theta(lower), "maximum", "L_lower"),
+        _point(diag, "saddle", "diag"),
+        _point(upper, "maximum", "L_upper"),
+        _point(symmetry_apply(upper, "transpose_markers"), "maximum", "L_lower"),
     ]
 
 

@@ -29,7 +29,7 @@ import orjson
 
 # eval_in_coords, evaluate and psi are the one-point forms of what _walk
 # computes a block of rows at a time; perfbench/tracing.py wraps them here.
-from .measures import MeasureKind, eval_in_coords, evaluate
+from .measures import MeasureKind, checked_kind, eval_in_coords, evaluate
 from .tables import psi, real
 
 __all__ = ["GridSpec", "grid_axis", "grid_blocks", "emit_grid"]
@@ -59,8 +59,7 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if not isinstance(self.measure, MeasureKind):
-            raise ValueError(f"measure must be a MeasureKind, got {self.measure!r}")
+        checked_kind(self.measure)
         for name in ("odds_ratio", "half_width", "step"):
             object.__setattr__(self, name, real(getattr(self, name)))
         if not (math.isfinite(self.odds_ratio) and self.odds_ratio > 0.0):

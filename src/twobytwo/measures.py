@@ -34,6 +34,7 @@ __all__ = [
     "Measure",
     "MEASURES",
     "MeasureKind",
+    "checked_kind",
     "UnsupportedKind",
     "CLI_NAMES",
     "odds_ratio",
@@ -284,9 +285,17 @@ class MeasureKind:
             raise FloatingPointError(f"{self.cli_name}: {exc}") from None
 
 
+def checked_kind(kind):
+    """kind, the one check of a measure argument: anything but a MeasureKind,
+    such as a CLI name, raises ValueError."""
+    if isinstance(kind, MeasureKind):
+        return kind
+    raise ValueError(f"measure must be a MeasureKind, got {kind!r}")
+
+
 def evaluate(kind, t):
     """Evaluate a MeasureKind on a table: its kernel on the cells, logs and x."""
-    return float(kind.on_cells(t.cells, t.logs, t.x))
+    return float(checked_kind(kind).on_cells(t.cells, t.logs, t.x))
 
 
 def eval_in_coords(kind, c):
@@ -322,6 +331,7 @@ def margin_limit(kind, x, axis, direction, other):
     finite (ValueError, as in ``MarginCoords``).  Supported: every measure, by
     its ``limit``, whose FloatingPointError names the measure as a kernel's does.
     """
+    checked_kind(kind)
     if not isinstance(axis, str) or axis not in ("y", "z"):
         raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
     s = {"+": 1.0, "-": -1.0}.get(direction) if isinstance(direction, str) else real(direction)

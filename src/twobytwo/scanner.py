@@ -16,12 +16,13 @@ import csv
 import io
 import math
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # evaluate is not called here; perfbench/tracing.py wraps scanner.evaluate.
-from .measures import MeasureKind, evaluate
+from .measures import MeasureKind, checked_kind, evaluate
 from .tables import DegenerateTable, ProbTable, cells_and_logs, real
 
 __all__ = [
@@ -225,8 +226,10 @@ def counts_to_table(counts, pseudocount):
     unless the four counts are reals >= 0 (as given) and the pseudocount a finite
     one, none a bool, and DegenerateTable for a zero cell or a count past the double range."""
     alpha = _float_pseudocount(pseudocount)
-    if not np.iterable(counts) or len(counts := tuple(counts)) != 4:
-        raise ValueError(f"counts_to_table needs four counts, got {counts!r}")
+    # The counts come in cell order: a set iterates in hash order, a mapping its keys.
+    if (not np.iterable(counts) or isinstance(counts, (Set, Mapping))
+            or len(counts := tuple(counts)) != 4):
+        raise ValueError(f"counts_to_table needs four counts in order, got {counts!r}")
     cells = [real(c) for c in counts]
     if not all(value >= 0.0 and c >= 0 for value, c in zip(cells, counts)):
         raise ValueError(f"counts must be reals >= 0, got {counts}")
@@ -241,11 +244,13 @@ def counts_to_table(counts, pseudocount):
 def scan(matrix, measures, rank_by, top_k, pseudocount=0.5, jobs=1):
     """Evaluate all marker pairs and return the top_k by |rank_by| value.
 
-    The arguments (top_k an integer >= 1, pseudocount a finite real >= 0)
-    and the table of the first pair are checked before the stages _grams,
-    _keys, _top and _results run.  ``jobs`` is ignored, kept for compatibility.
+    The arguments (measures, read once, and rank_by MeasureKinds, top_k an
+    integer >= 1, pseudocount a finite real >= 0) and the table of the first
+    pair are checked before the stages _grams, _keys, _top and _results run.
+    ``jobs`` is ignored, kept for compatibility.
     """
-    if rank_by not in measures:
+    measures = tuple(map(checked_kind, measures))
+    if checked_kind(rank_by) not in measures:
         raise ValueError("rank_by must be one of the requested measures")
     if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral):
         raise ValueError(f"top_k must be an integer, got {top_k!r}")
@@ -344,8 +349,10 @@ def render_results(results, measures):
     """Deterministic CSV rendering of scan results (6-decimal values).
 
     An id holding a comma or a double quote is quoted, so every row has the
-    header's fields; any other id is written as it is.
+    header's fields; any other id is written as it is.  ``measures`` (MeasureKinds)
+    is read once.
     """
+    measures = tuple(map(checked_kind, measures))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id_a", "id_b", "n", "n00", "n01", "n10", "n11"]

@@ -351,14 +351,18 @@ def symmetry_apply(t, op):
     raise ValueError(f"op must be one of {tuple(_SYMMETRY_OPS)}, got {op!r}")
 
 
-# Zero-cell set -> boundary stratum for the two-cell limits.
-_TWO_CELL_STRATA = {
-    frozenset({"p00", "p11"}): (BoundaryKind.DIAGONAL_EDGE_MAIN, "p00=p11=0"),
-    frozenset({"p01", "p10"}): (BoundaryKind.DIAGONAL_EDGE_ANTI, "p01=p10=0"),
-    frozenset({"p10", "p11"}): (BoundaryKind.VANISHING_ROW, "row1"),
-    frozenset({"p00", "p01"}): (BoundaryKind.VANISHING_ROW, "row0"),
-    frozenset({"p01", "p11"}): (BoundaryKind.VANISHING_COLUMN, "col1"),
-    frozenset({"p00", "p10"}): (BoundaryKind.VANISHING_COLUMN, "col0"),
+# Zero-cell set -> stratum of a ray limit: a vertex is named by its one
+# nonzero cell, a face by its one zero cell.
+_STRATA = {
+    **{frozenset(_CELL_NAMES) - {c}: BoundaryClass(BoundaryKind.VERTEX_SINGLE_ONE, c)
+       for c in _CELL_NAMES},
+    **{frozenset({c}): BoundaryClass(BoundaryKind.FACE_SINGLE_ZERO, c) for c in _CELL_NAMES},
+    frozenset({"p00", "p11"}): BoundaryClass(BoundaryKind.DIAGONAL_EDGE_MAIN, "p00=p11=0"),
+    frozenset({"p01", "p10"}): BoundaryClass(BoundaryKind.DIAGONAL_EDGE_ANTI, "p01=p10=0"),
+    frozenset({"p10", "p11"}): BoundaryClass(BoundaryKind.VANISHING_ROW, "row1"),
+    frozenset({"p00", "p01"}): BoundaryClass(BoundaryKind.VANISHING_ROW, "row0"),
+    frozenset({"p01", "p11"}): BoundaryClass(BoundaryKind.VANISHING_COLUMN, "col1"),
+    frozenset({"p00", "p10"}): BoundaryClass(BoundaryKind.VANISHING_COLUMN, "col0"),
 }
 
 
@@ -389,14 +393,5 @@ def ray_limit(direction):
     argmax = [i for i, c in enumerate(coeffs) if top - c <= 1e-9]
     share = 1.0 / len(argmax)
     cells = tuple(share if i in argmax else 0.0 for i in range(4))
-
-    zero_set = frozenset(_CELL_NAMES[i] for i in range(4) if i not in argmax)
-    if len(argmax) == 1:
-        cls = BoundaryClass(BoundaryKind.VERTEX_SINGLE_ONE, _CELL_NAMES[argmax[0]])
-    elif len(argmax) == 3:
-        (zero_cell,) = zero_set
-        cls = BoundaryClass(BoundaryKind.FACE_SINGLE_ZERO, zero_cell)
-    else:
-        # Four cells cannot tie: the largest |component| is 1.
-        cls = BoundaryClass(*_TWO_CELL_STRATA[zero_set])
-    return cells, cls
+    # Four cells cannot tie: the largest |component| is 1.
+    return cells, _STRATA[frozenset(n for n, c in zip(_CELL_NAMES, cells) if c == 0.0)]

@@ -1,8 +1,8 @@
 """Every public entry point takes a caller's number by the one rule of
 ``tables.real``: a bool, a non-real or a real past the double range raises
 the entry point's own typed error, and any other real acts as its float.
-A malformed name, direction or list of counts raises the function's own
-error too."""
+A malformed name, direction, measure or list of counts raises the
+function's own error too."""
 
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ from twobytwo import (
     counts_to_table,
     critical_points,
     entropy_grid_argmax,
+    eval_in_coords,
+    evaluate,
     hs,
     lambert_w0,
     lambert_w_minus1,
@@ -30,6 +32,7 @@ from twobytwo import (
     margin_transform,
     psi_cells,
     ray_limit,
+    render_results,
     scan,
     symmetry_apply,
 )
@@ -99,7 +102,7 @@ def test_any_real_acts_as_its_float(entry, value):
     assert outcome(call, value) == outcome(call, 2.0)
 
 
-# name: (call of a malformed name, direction or count list, its typed error, its text)
+# name: (call of a malformed name, direction, measure or count list, its typed error, its text)
 MALFORMED = {
     "MeasureKind list": (lambda: MeasureKind(["hs"]), ValueError, "unknown measure tag"),
     "from_cli list": (lambda: MeasureKind.from_cli(["HS"]), UnsupportedKind, "unknown measure name"),
@@ -109,6 +112,26 @@ MALFORMED = {
     "ray_limit pair": (lambda: ray_limit((1, 2)), ValueError, "direction must be three finite reals"),
     "counts_to_table three": (lambda: counts_to_table((1, 2, 3), 0.5), ValueError, "needs four counts"),
     "counts_to_table int": (lambda: counts_to_table(5, 0.5), ValueError, "needs four counts"),
+    # A set iterates in hash order and a mapping its keys: neither has a cell order.
+    "counts_to_table set": (lambda: counts_to_table({40, 1, 2, 3}, 0.5), ValueError, "in order"),
+    "counts_to_table mapping": (
+        lambda: counts_to_table({1: 10, 2: 20, 3: 30, 4: 40}, 0.5),
+        ValueError,
+        "in order",
+    ),
+    "evaluate name": (lambda: evaluate("HS", TABLE), ValueError, "measure must be a MeasureKind"),
+    "eval_in_coords name": (
+        lambda: eval_in_coords("HS", MarginCoords(0.5, 0.0, 0.0)),
+        ValueError,
+        "measure must be a MeasureKind",
+    ),
+    "margin_limit name": (
+        lambda: margin_limit("hs", 1.0, "y", "+", 0.0),
+        ValueError,
+        "measure must be a MeasureKind",
+    ),
+    "scan name": (lambda: scan(MATRIX, ["HS"], "HS", 3), ValueError, "measure must be a MeasureKind"),
+    "render_results name": (lambda: render_results([], ["HS"]), ValueError, "measure must be a MeasureKind"),
     "margin_limit axis array": (
         lambda: margin_limit(Y, 1.0, np.array(["y", "z"]), "+", 0.0),
         ValueError,

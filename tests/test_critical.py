@@ -25,8 +25,6 @@ from twobytwo import (
 )
 from twobytwo import critical
 
-scipy_special = pytest.importorskip("scipy.special")
-
 INV_E = math.exp(-1.0)
 EPS = sys.float_info.epsilon
 
@@ -73,6 +71,7 @@ class TestLambertW:
         assert worst < 1e-12
 
     def test_matches_scipy_both_branches(self):
+        scipy_special = pytest.importorskip("scipy.special")
         vs = np.concatenate(
             [np.geomspace(1e-12, 1e12, 500), -np.geomspace(1e-12, INV_E * 0.999999, 500)]
         )
@@ -121,6 +120,7 @@ class TestLambertW:
                 w(-INV_E * (1.0 + 1e-11))
 
     def test_principal_branch_at_the_largest_double(self):
+        scipy_special = pytest.importorskip("scipy.special")
         ref = float(scipy_special.lambertw(sys.float_info.max, 0).real)
         assert lambert_w0(sys.float_info.max) == pytest.approx(ref, rel=1e-15)
 

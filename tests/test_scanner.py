@@ -379,6 +379,13 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(m, [q], q, top_k=0)
 
+    def test_measures_may_be_an_iterator(self):
+        # Each reads its measures once: an iterator gives the CSV of a list.
+        m = matrix_from(SMALL)
+        kinds = [MeasureKind("yule_y"), MeasureKind("hs")]
+        want = render_results(scan(m, kinds, kinds[1], 3), kinds)
+        assert render_results(scan(m, iter(kinds), kinds[1], 3), iter(kinds)) == want
+
     @pytest.mark.parametrize("pseudocount", [-0.5, math.nan, math.inf, Fraction(-1, 10**400)])
     def test_bad_pseudocount_is_not_blamed_on_a_pair(self, pseudocount):
         m = matrix_from(SMALL)

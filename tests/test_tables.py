@@ -563,6 +563,33 @@ class TestRayLimit:
         assert cls.kind is BoundaryKind.VANISHING_COLUMN
         assert cls.detail == "col1"
 
+    def test_every_stratum_occurs_and_names_its_cells(self):
+        # The 14 strata over the integer directions: a vertex names its one
+        # nonzero cell, a face its one zero cell, a two-cell stratum its zeros.
+        names = ("p00", "p01", "p10", "p11")
+        two_cell = {
+            "p00=p11=0": (BoundaryKind.DIAGONAL_EDGE_MAIN, {"p00", "p11"}),
+            "p01=p10=0": (BoundaryKind.DIAGONAL_EDGE_ANTI, {"p01", "p10"}),
+            "row0": (BoundaryKind.VANISHING_ROW, {"p00", "p01"}),
+            "row1": (BoundaryKind.VANISHING_ROW, {"p10", "p11"}),
+            "col0": (BoundaryKind.VANISHING_COLUMN, {"p00", "p10"}),
+            "col1": (BoundaryKind.VANISHING_COLUMN, {"p01", "p11"}),
+        }
+        seen = set()
+        for d in itertools.product(range(-2, 3), repeat=3):
+            if not any(d):
+                continue
+            cells, cls = ray_limit(d)
+            zero = {n for n, c in zip(names, cells) if c == 0.0}
+            if cls.kind is BoundaryKind.VERTEX_SINGLE_ONE:
+                assert set(names) - zero == {cls.detail}, d
+            elif cls.kind is BoundaryKind.FACE_SINGLE_ZERO:
+                assert zero == {cls.detail}, d
+            else:
+                assert (cls.kind, zero) == two_cell[cls.detail], d
+            seen.add(cls)
+        assert len(seen) == 14
+
     def test_limits_match_psi_far_along_ray(self):
         # Convergence along the ray is driven by the spread of the cell
         # exponents, so directions with near-tied exponents are skipped.
